@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare two bench metrics JSON files and flag counter regressions.
+"""Compare two bench metrics JSON files and flag counter and latency
+regressions.
 
 Inputs are files produced either by a bench binary's --metrics-json flag
 (an array of {"cell": {...}, "metrics": {...}} objects, one per sweep cell)
@@ -8,11 +9,15 @@ See docs/OBSERVABILITY.md for the metric schema.
 
 Counters are aggregated per cell by their schema name — the part of the
 instance name before the '{label=...}' suffix — so per-node instances fold
-into one number. Each aggregated counter is then compared against the
+into one number. The simulated latency quantiles named in LATENCY_QUANTILES
+are read from their histograms as '<schema>.p50' / '<schema>.p99'; their
+per-node instances fold to the maximum (the worst node's quantile — a sum of
+quantiles means nothing). Each aggregated value is then compared against the
 baseline according to its direction:
 
   * cost counters (retransmissions, drops, failures, stalls, probes...)
-    regress when they GROW beyond tolerance — the protocol got noisier;
+    and the latency quantiles regress when they GROW beyond tolerance — the
+    protocol got noisier or the service slower;
   * goodput counters (deliveries, ok calls, acks...) regress when they
     SHRINK beyond tolerance — the run did less useful work;
   * everything else is informational (printed with --verbose only).
@@ -27,8 +32,9 @@ Usage:
                   [--abs-slack 100] [--verbose]
 
 Exit status: 0 = no regressions, 1 = regressions found, 2 = usage/shape
-error — cells don't match, a counter lacks its "value" key, or the golden
-predates a classified counter the candidate reports (regen the golden).
+error — cells don't match, a counter lacks its "value" key, a gated
+histogram lacks a quantile, or the golden predates a classified counter the
+candidate reports (regen the golden).
 """
 
 import argparse
@@ -127,7 +133,19 @@ COST_PREFIXES = (
     "ec.repair_fetch_retries",
     "ec.repair_put_retries",
     "ec.repair_stripes_abandoned",
+    # Simulated service latency (histogram quantiles, LATENCY_QUANTILES): a
+    # slower median or tail for the same sweep is a regression on the
+    # modeled system's own clock.
+    "kv.call_latency_ns.",
+    "traffic.request_latency_ns.",
 )
+
+# Histograms whose quantiles are gated, and which quantiles. Every other
+# histogram (and every gauge) is ignored.
+LATENCY_QUANTILES = {
+    "kv.call_latency_ns": ("p50", "p99"),
+    "traffic.request_latency_ns": ("p50", "p99"),
+}
 
 # Counter schema names where shrinkage means useful work was lost.
 GOODPUT_PREFIXES = (
@@ -186,6 +204,15 @@ def load_cells(path):
         metrics = entry.get("metrics", {}).get("metrics", {})
         agg = {}
         for name, m in metrics.items():
+            if m.get("type") == "histogram":
+                for q in LATENCY_QUANTILES.get(schema_name(name), ()):
+                    if q not in m:
+                        raise ShapeError(
+                            f"{path}: histogram '{name}' has no '{q}' key — "
+                            "truncated or hand-edited metrics dump?")
+                    key = f"{schema_name(name)}.{q}"
+                    agg[key] = max(agg.get(key, 0), m[q])
+                continue
             if m.get("type") != "counter":
                 continue
             if "value" not in m:
@@ -230,12 +257,14 @@ def compare_cell(cell_key, golden, candidate, tol, slack, verbose):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Flag counter regressions between two bench metrics "
-                    "JSON files (see docs/OBSERVABILITY.md).")
+        description="Flag counter and simulated-latency regressions between "
+                    "two bench metrics JSON files (see "
+                    "docs/OBSERVABILITY.md).")
     ap.add_argument("golden")
     ap.add_argument("candidate")
     ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="relative headroom on each counter (default 0.25)")
+                    help="relative headroom on each gated value "
+                         "(default 0.25)")
     ap.add_argument("--abs-slack", type=float, default=100,
                     help="absolute headroom added on top (default 100)")
     ap.add_argument("--verbose", action="store_true",
@@ -291,7 +320,7 @@ def main():
     if total:
         print(f"metrics_diff: {total} regression(s) vs {args.golden}")
         return 1
-    print(f"metrics_diff: no counter regressions across "
+    print(f"metrics_diff: no counter or latency regressions across "
           f"{len(candidate)} cell(s)")
     return 0
 

@@ -1,6 +1,7 @@
 #include "firmware/mapper_ondemand.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -29,6 +30,23 @@ constexpr std::size_t kMaxAltForwards = 8;
 /// a different deterministic stream than the primary multipath pick (a backup
 /// that mirrors the multipath choice would not be an alternate at all).
 constexpr std::uint64_t kBackupSaltTweak = 0xA17EB5A17Eull;
+
+/// The longest probe a BFS of depth `max_depth` builds is a bounce or
+/// duplicate-detection probe into the deepest level: forward path, port
+/// under test, guessed return port, and the way home, at most
+/// 2 * max_depth + 2 route bytes. Reject a depth whose probes cannot fit a
+/// packet header here, at construction: the same overflow inside the BFS
+/// coroutine would throw where nothing can catch it.
+const OnDemandMapperConfig& validated(const OnDemandMapperConfig& cfg) {
+  if (cfg.max_depth > (net::kMaxRouteHops - 2) / 2) {
+    throw std::invalid_argument(
+        "OnDemandMapper: max_depth " + std::to_string(cfg.max_depth) +
+        " builds probes longer than the " +
+        std::to_string(net::kMaxRouteHops) + "-hop route capacity (max " +
+        std::to_string((net::kMaxRouteHops - 2) / 2) + ")");
+  }
+  return cfg;
+}
 
 }  // namespace
 
@@ -126,7 +144,7 @@ std::optional<net::AltRoute>* OnDemandMapper::PathCache::backup_mut(HostId h) {
 // --- OnDemandMapper ---------------------------------------------------------
 
 OnDemandMapper::OnDemandMapper(nic::Nic& nic, OnDemandMapperConfig cfg)
-    : nic_(nic), cfg_(cfg), path_cache_(cfg.path_cache_capacity) {
+    : nic_(nic), cfg_(validated(cfg)), path_cache_(cfg.path_cache_capacity) {
   // Mirror OnDemandMapperStats into the per-simulation metrics registry
   // (pull model — see docs/OBSERVABILITY.md).
   obs::Registry& reg = obs::Registry::of(nic_.sched());
@@ -516,7 +534,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
   {
     KnownSwitch root;
     root.forward = Route{};
-    root.reverse = {*attach_port_};
+    root.reverse = Route{{*attach_port_}};
     root.entry_port = *attach_port_;
     root.radix = radix_of(Route{});
     known.push_back(std::move(root));
@@ -606,7 +624,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
     std::vector<std::size_t> next;
     for (const SilentPort& sp : silent) {
       const Route sw_forward = known[sp.sw].forward;
-      const std::vector<std::uint8_t> sw_reverse = known[sp.sw].reverse;
+      const auto sw_reverse = known[sp.sw].reverse.ports;
       Route nf = sw_forward;
       nf.ports.push_back(sp.port);
       // Identity verdict source: behavioral by default (the cycle probe
@@ -637,8 +655,8 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
         bool probe_back = false;
         if (!identity_db) {
           Route vr = nf;
-          vr.ports.insert(vr.ports.end(), known[j].reverse.begin(),
-                          known[j].reverse.end());
+          const auto& home = known[j].reverse.ports;
+          vr.ports.append(home.begin(), home.end());
           count_probe();
           probe_back = co_await probe_and_wait_impl(PacketType::kProbeSwitch,
                                                     vr, nullptr);
@@ -671,7 +689,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
         Route br = sw_forward;
         br.ports.push_back(sp.port);
         br.ports.push_back(y);
-        br.ports.insert(br.ports.end(), sw_reverse.begin(), sw_reverse.end());
+        br.ports.append(sw_reverse.begin(), sw_reverse.end());
         count_probe();
         if (co_await probe_and_wait_impl(PacketType::kProbeSwitch, br,
                                          nullptr)) {
@@ -679,9 +697,8 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
           ns.forward = nf;
           ns.entry_port = y;
           ns.radix = guess_bound;
-          ns.reverse.push_back(y);
-          ns.reverse.insert(ns.reverse.end(), sw_reverse.begin(),
-                            sw_reverse.end());
+          ns.reverse.ports.push_back(y);
+          ns.reverse.ports.append(sw_reverse.begin(), sw_reverse.end());
           known.push_back(std::move(ns));
           next.push_back(known.size() - 1);
           break;

@@ -55,7 +55,10 @@ struct OnDemandMapperConfig {
   const net::Topology* radix_oracle = nullptr;
   /// BFS depth bound (switches traversed). Redundant fabrics make switches
   /// re-discoverable through parallel paths — switches have no identity — so
-  /// the search must be bounded to terminate on cyclic topologies.
+  /// the search must be bounded to terminate on cyclic topologies. Its
+  /// switch probes carry up to 2 * max_depth + 2 route bytes, so a depth
+  /// past (net::kMaxRouteHops - 2) / 2 = 14 is rejected at construction
+  /// (std::invalid_argument).
   std::size_t max_depth = 6;
   /// Hard cap on probes per mapping (runaway guard on unreachable targets;
   /// exhausting it fails the mapping and bumps probe_budget_exhausted).
@@ -204,7 +207,7 @@ class OnDemandMapper final : public MapperIface {
   /// A discovered crossbar: how to reach it and how its packets reach us.
   struct KnownSwitch {
     net::Route forward;                  // bytes from us to (into) the switch
-    std::vector<std::uint8_t> reverse;   // bytes from the switch back to us
+    net::Route reverse;                  // bytes from the switch back to us
     std::uint8_t entry_port = 0;         // port we enter it through
     std::uint8_t radix = 16;             // ports to probe on it
     /// Equal-length alternative forwards (multipath only; capped).

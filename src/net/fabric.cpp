@@ -192,7 +192,7 @@ void Fabric::deliver(Packet&& pkt, HostId dst) {
       crc32(std::span<const std::uint8_t>(pkt.payload)) == pkt.crc;
   if (!ok) ++stats_.delivered_corrupt;
   if (delivery_hook_) delivery_hook_(pkt, dst);
-  rx_[dst.v](std::move(pkt));
+  rx_[dst.v](std::move(pkt), ok);
 }
 
 void Fabric::arrive_host(Packet pkt, Device peer, std::size_t route_idx) {

@@ -146,14 +146,17 @@ struct FabricPartition;  // net/partition.hpp
 
 class Fabric : public FaultInjector {
  public:
-  using RxHandler = std::function<void(Packet&&)>;
+  /// Receive handler: the fully-arrived packet and the hardware CRC verdict
+  /// over it (false for a packet a link fault corrupted in flight).
+  using RxHandler = std::function<void(Packet&&, bool crc_ok)>;
   using DropHook = std::function<void(const Packet&, DropReason)>;
 
   Fabric(sim::Scheduler& sched, Topology& topo, FabricConfig cfg = {});
   ~Fabric();
 
   /// Register the receive handler for a host NIC. Called with fully-arrived
-  /// packets (tail on the wire has arrived); CRC checking is the NIC's job.
+  /// packets (tail on the wire has arrived) and the CRC verdict the receive
+  /// DMA computed over them; acting on a failed check is the NIC's job.
   void attach(HostId h, RxHandler rx);
 
   /// Inject a packet from `src`'s NIC. The packet must carry its route; the

@@ -7,11 +7,7 @@
 // exactly as the Myrinet network DMA does.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
-#include <iterator>
-#include <stdexcept>
 
 #include "net/ids.hpp"
 #include "net/payload.hpp"
@@ -63,46 +59,10 @@ struct PacketHeader {
 inline constexpr std::size_t kHeaderWireBytes = 20;
 inline constexpr std::size_t kCrcWireBytes = 4;
 
-/// Fixed-capacity inline port list: a packet crosses at most as many switches
-/// as the network diameter (<= 5 in every topology this repo models), so the
-/// per-hop entry-port record fits in one 16-byte word — copying a Packet then
-/// never allocates for it. Overflow throws: a route longer than the capacity
-/// is a modeling bug, not a degradation to tolerate silently.
-class InPortList {
- public:
-  using const_iterator = const std::uint8_t*;
-  using const_reverse_iterator = std::reverse_iterator<const_iterator>;
-
-  void push_back(std::uint8_t port) {
-    if (size_ == kCapacity) {
-      throw std::length_error("Packet in_ports overflow (route too deep)");
-    }
-    v_[size_++] = port;
-  }
-  void clear() { size_ = 0; }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  std::uint8_t operator[](std::size_t i) const { return v_[i]; }
-
-  [[nodiscard]] const_iterator begin() const { return v_.data(); }
-  [[nodiscard]] const_iterator end() const { return v_.data() + size_; }
-  [[nodiscard]] const_reverse_iterator rbegin() const {
-    return const_reverse_iterator(end());
-  }
-  [[nodiscard]] const_reverse_iterator rend() const {
-    return const_reverse_iterator(begin());
-  }
-
-  friend bool operator==(const InPortList& a, const InPortList& b) {
-    return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
-  }
-
- private:
-  static constexpr std::size_t kCapacity = 15;
-  std::uint8_t size_ = 0;
-  std::array<std::uint8_t, kCapacity> v_{};
-};
+/// Per-hop entry-port record (see Packet::in_ports). One entry per switch
+/// entered: a delivered packet has exactly as many as its route has bytes,
+/// and a misrouted one may enter one switch more before it is dropped there.
+using InPortList = PortList<kMaxRouteHops + 1>;
 
 struct Packet {
   PacketHeader hdr;

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "net/crc.hpp"
-
 namespace sanfault::nic {
 
 namespace {
@@ -20,7 +18,9 @@ Nic::Nic(sim::Scheduler& sched, net::Fabric& fabric, net::HostId self,
       cpu_(sched),
       host_dma_(sched),
       pool_(cfg.send_buffers, cfg.costs.buffer_bytes) {
-  fabric_.attach(self_, [this](net::Packet&& pkt) { on_fabric_rx(std::move(pkt)); });
+  fabric_.attach(self_, [this](net::Packet&& pkt, bool crc_ok) {
+    on_fabric_rx(std::move(pkt), crc_ok);
+  });
 
   obs::Registry& reg = obs::Registry::of(sched_);
   const std::string node = "{node=" + std::to_string(self_.v) + "}";
@@ -103,14 +103,11 @@ sim::Time Nic::inject(net::Packet pkt) {
   return fabric_.inject(self_, std::move(pkt));
 }
 
-void Nic::on_fabric_rx(net::Packet&& pkt) {
+void Nic::on_fabric_rx(net::Packet&& pkt, bool crc_ok) {
   ++stats_.wire_rx;
   stats_.bytes_rx += pkt.payload.size();
-  // Hardware CRC check: the receive DMA recomputes the CRC on the fly, so
-  // this costs no control-processor time.
-  const bool crc_ok =
-      !pkt.corrupt_marker &&
-      net::crc32(std::span<const std::uint8_t>(pkt.payload)) == pkt.crc;
+  // Hardware CRC check: the receive DMA recomputes the CRC on the fly (the
+  // fabric hands over its verdict), so this costs no control-processor time.
   if (!crc_ok) ++stats_.crc_failures;
   const sim::Duration cost = fw_->rx_cpu_cost(pkt);
   cpu_.submit(cost, [this, pkt = std::move(pkt), crc_ok]() mutable {

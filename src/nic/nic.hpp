@@ -127,7 +127,7 @@ class Nic {
   [[nodiscard]] const NicStats& stats() const { return stats_; }
 
  private:
-  void on_fabric_rx(net::Packet&& pkt);
+  void on_fabric_rx(net::Packet&& pkt, bool crc_ok);
 
   sim::Scheduler& sched_;
   net::Fabric& fabric_;

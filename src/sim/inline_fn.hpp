@@ -1,23 +1,23 @@
-// InlineFn: a move-only callable wrapper with small-buffer storage.
+// InlineFn: a move-only callable wrapper with fixed inline storage.
 //
 // std::function's inline buffer (16 bytes on libstdc++) is too small for the
 // simulator's event lambdas — a fabric hop closure carries a whole
 // net::Packet — so nearly every scheduled event used to pay a heap
-// allocation. InlineFn stores callables up to `InlineBytes` directly in the
-// wrapper (and the wrapper itself lives in the scheduler's pooled event
-// nodes), falling back to the heap only for oversized captures. Two raw
-// function pointers replace the vtable, keeping invocation a single indirect
-// call. Trivially-copyable inline callables (most event lambdas: a few
-// pointers/ints) skip the manage pointer entirely — moves are a plain
-// buffer copy and destruction is a no-op, with no indirect call.
+// allocation. InlineFn stores the callable directly in the wrapper (and the
+// wrapper itself lives in the scheduler's pooled event nodes). There is no
+// heap fallback: a callable larger than `InlineBytes` is a compile error, so
+// wrapping a callable never allocates by construction. Two raw function
+// pointers replace the vtable, keeping invocation a single indirect call.
+// Trivially-copyable callables (most event lambdas: a few pointers/ints)
+// skip the manage pointer entirely — moves are a plain buffer copy and
+// destruction is a no-op, with no indirect call.
 //
 // Requirements on the wrapped callable: move-constructible; invoked
-// non-const. Copying InlineFn is deliberately not supported — events fire
-// once.
+// non-const; at most InlineBytes large and at most max_align_t aligned.
+// Copying InlineFn is deliberately not supported — events fire once.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -29,9 +29,6 @@ class InlineFn;  // primary template intentionally undefined
 
 template <class R, class... Args, std::size_t InlineBytes>
 class InlineFn<R(Args...), InlineBytes> {
-  static_assert(InlineBytes >= sizeof(void*),
-                "inline buffer must at least hold the heap-fallback pointer");
-
  public:
   InlineFn() = default;
   InlineFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -91,18 +88,16 @@ class InlineFn<R(Args...), InlineBytes> {
 
   template <class D, class F>
   void construct(F&& f) {
-    if constexpr (sizeof(D) <= InlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      invoke_ = &invoke_inline<D>;
-      // Trivially-copyable callables need no manage function: moving is a
-      // buffer copy, destroying is a no-op (manage_ stays null as the tag).
-      manage_ = std::is_trivially_copyable_v<D> ? nullptr : &manage_inline<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      invoke_ = &invoke_heap<D>;
-      manage_ = &manage_heap<D>;
-    }
+    static_assert(sizeof(D) <= InlineBytes,
+                  "callable too large for InlineFn's inline buffer: shrink "
+                  "the capture or raise the InlineBytes budget");
+    static_assert(alignof(D) <= alignof(std::max_align_t),
+                  "callable over-aligned for InlineFn's inline buffer");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    invoke_ = &invoke_inline<D>;
+    // Trivially-copyable callables need no manage function: moving is a
+    // buffer copy, destroying is a no-op (manage_ stays null as the tag).
+    manage_ = std::is_trivially_copyable_v<D> ? nullptr : &manage_inline<D>;
   }
 
   template <class D>
@@ -115,20 +110,6 @@ class InlineFn<R(Args...), InlineBytes> {
     D* f = std::launder(reinterpret_cast<D*>(src));
     if (dst != nullptr) ::new (dst) D(std::move(*f));
     f->~D();
-  }
-  template <class D>
-  static R invoke_heap(void* buf, Args&&... args) {
-    return (**std::launder(reinterpret_cast<D**>(buf)))(
-        std::forward<Args>(args)...);
-  }
-  template <class D>
-  static void manage_heap(void* src, void* dst) {
-    D** p = std::launder(reinterpret_cast<D**>(src));
-    if (dst != nullptr) {
-      ::new (dst) D*(*p);  // pointer moves; the heap object stays put
-    } else {
-      delete *p;
-    }
   }
 
   void move_from(InlineFn& o) noexcept {

@@ -7,9 +7,9 @@
 // Hot-path design (see docs/PERFORMANCE.md for measurements):
 //  * the ready queue is an indexed binary heap of 24-byte PODs
 //    (time, seq, slot) — sift operations never move callables;
-//  * callables live in a pool of slot-indexed nodes, inline up to
-//    kEventInlineBytes via InlineFn, so the common timer/delivery/hop
-//    lambdas never touch the allocator after the pool warms up;
+//  * callables live in a pool of slot-indexed nodes, always inline in an
+//    InlineFn of kEventInlineBytes: a capture that does not fit is a compile
+//    error, so at()/after() never allocate once the pool has warmed up;
 //  * cancellation is lazy — cancel() flips a flag in the node (O(1), no
 //    hash lookup, destroys the capture immediately) — but bounded: when
 //    cancelled entries outnumber live ones the heap is compacted in O(n),
@@ -54,13 +54,12 @@ class EventHandle {
 
 class Scheduler {
  public:
-  /// Inline capture budget for event callables. Sized for the common
-  /// timer/delivery/completion lambdas (a this-pointer plus a few words);
-  /// oversized captures (e.g. closures carrying a whole net::Packet) take
-  /// InlineFn's heap fallback, which is what std::function did for *every*
-  /// capture beyond two words. Kept modest on purpose: the node pool's cache
-  /// footprint scales with this at high pending-event counts.
-  static constexpr std::size_t kEventInlineBytes = 48;
+  /// Inline capture budget for event callables. Sized for the largest
+  /// closure the simulator schedules: a fabric hop carrying a whole
+  /// net::Packet (152 bytes) plus its continuation state. InlineFn has no
+  /// heap fallback, so a larger capture does not compile. Raising it costs
+  /// cache footprint in the node pool at high pending-event counts.
+  static constexpr std::size_t kEventInlineBytes = 176;
   using EventFn = InlineFn<void(), kEventInlineBytes>;
 
   Scheduler() = default;

@@ -4,6 +4,7 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "harness/cluster.hpp"
@@ -278,6 +279,19 @@ TEST(OnDemandMapper, ProbeBudgetExhaustionFailsTheMapping) {
   // The budget is per mapping: a nearby destination still fits inside it.
   const auto near = map_now(c, 4, 0);  // same switch
   EXPECT_TRUE(near.has_value());
+}
+
+TEST(OnDemandMapper, MaxDepthPastRouteCapacityIsRejected) {
+  // Switch probes carry up to 2 * max_depth + 2 route bytes. A depth whose
+  // probes would overflow the route capacity is refused at construction; the
+  // same overflow inside the BFS coroutine would terminate the process.
+  constexpr std::size_t kDeepest = (net::kMaxRouteHops - 2) / 2;
+  auto cfg = ondemand_cfg(8, TopoKind::kFigure2);
+  cfg.ondemand.max_depth = kDeepest + 1;
+  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
+  cfg.ondemand.max_depth = kDeepest;
+  Cluster c(cfg);
+  EXPECT_TRUE(map_now(c, 4, 3).has_value());  // 4 switches away
 }
 
 TEST(OnDemandMapper, MultipathSelectionIsDeterministic) {

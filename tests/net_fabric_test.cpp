@@ -13,8 +13,12 @@ namespace {
 
 struct Rx {
   std::vector<std::pair<sim::Time, Packet>> got;
+  std::vector<bool> crc_ok;  // the fabric's CRC verdict, per delivery
   Fabric::RxHandler handler(sim::Scheduler& s) {
-    return [this, &s](Packet&& p) { got.emplace_back(s.now(), std::move(p)); };
+    return [this, &s](Packet&& p, bool ok) {
+      got.emplace_back(s.now(), std::move(p));
+      crc_ok.push_back(ok);
+    };
   }
 };
 
@@ -84,6 +88,7 @@ TEST_F(FabricFixture, DeliversAcrossOneSwitch) {
   EXPECT_EQ(f.stats().delivered, 1u);
   EXPECT_EQ(f.stats().delivered_corrupt, 0u);
   EXPECT_EQ(rx1.got[0].second.payload.size(), 4u);
+  EXPECT_TRUE(rx1.crc_ok[0]);
 }
 
 TEST_F(FabricFixture, UncontendedTimingMatchesWormholeFormula) {
@@ -186,6 +191,7 @@ TEST_F(FabricFixture, CorruptionIsDetectedByCrc) {
   EXPECT_EQ(f.stats().delivered_corrupt, 1u);
   const Packet& p = rx1.got[0].second;
   EXPECT_NE(crc32(std::span<const std::uint8_t>(p.payload)), p.crc);
+  EXPECT_FALSE(rx1.crc_ok[0]);  // the verdict handed to the receiver agrees
 }
 
 TEST_F(FabricFixture, EmptyPayloadCorruptionUsesMarker) {
@@ -195,6 +201,7 @@ TEST_F(FabricFixture, EmptyPayloadCorruptionUsesMarker) {
   sched.run();
   ASSERT_EQ(rx1.got.size(), 1u);
   EXPECT_TRUE(rx1.got[0].second.corrupt_marker);
+  EXPECT_FALSE(rx1.crc_ok[0]);
   EXPECT_EQ(f.stats().delivered_corrupt, 1u);
 }
 

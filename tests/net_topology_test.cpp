@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "net/partition.hpp"
 #include "net/topology.hpp"
 
@@ -74,7 +75,7 @@ TEST(Topology, ShortestRouteOneSwitch) {
   PairFixture f;
   auto r = f.topo.shortest_route(f.h0, f.h1);
   ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->ports, (std::vector<std::uint8_t>{1}));  // out port toward h1
+  EXPECT_EQ(*r, (Route{{1}}));  // out port toward h1
 }
 
 TEST(Topology, ShortestRouteToSelfIsEmpty) {
@@ -95,7 +96,7 @@ TEST(Topology, RouteAcrossTwoSwitches) {
   t.connect({Device::host(b), 0}, {Device::sw(s1), 1});
   auto r = t.shortest_route(a, b);
   ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->ports, (std::vector<std::uint8_t>{3, 1}));
+  EXPECT_EQ(*r, (Route{{3, 1}}));
 }
 
 TEST(Topology, RouteAvoidsDownLink) {
@@ -151,7 +152,7 @@ TEST(Topology, RouteAvoidsDeadSwitch) {
   auto detour = t.shortest_route(h0, h1);
   ASSERT_TRUE(detour.has_value());
   EXPECT_EQ(detour->hops(), 3u);
-  EXPECT_EQ(detour->ports, (std::vector<std::uint8_t>{2, 1, 0}));
+  EXPECT_EQ(*detour, (Route{{2, 1, 0}}));
 
   // Kill the detour switch too: unreachable.
   t.set_switch_up(sC, false);
@@ -168,7 +169,38 @@ TEST(Topology, DisconnectUnplugsBothEnds) {
   EXPECT_TRUE(f.topo.link_up(nl));
   auto r = f.topo.shortest_route(f.h0, f.h1);
   ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->ports, (std::vector<std::uint8_t>{5}));
+  EXPECT_EQ(*r, (Route{{5}}));
+}
+
+TEST(Route, OverflowPastCapacityThrows) {
+  Route r;
+  for (std::size_t i = 0; i < kMaxRouteHops; ++i) r.ports.push_back(1);
+  EXPECT_EQ(r.hops(), kMaxRouteHops);
+  EXPECT_THROW(r.ports.push_back(1), std::length_error);
+  EXPECT_EQ(r.hops(), kMaxRouteHops);  // the failed push left it intact
+
+  const std::vector<std::uint8_t> too_long(kMaxRouteHops + 1, 2);
+  Route r2;
+  EXPECT_THROW(r2.ports.assign(too_long.begin(), too_long.end()),
+               std::length_error);
+
+  // The entry-port record has one slot more: a misrouted packet may enter
+  // one switch past its route's end before it is dropped there.
+  InPortList in;
+  for (std::size_t i = 0; i <= kMaxRouteHops; ++i) in.push_back(3);
+  EXPECT_THROW(in.push_back(3), std::length_error);
+}
+
+TEST(Route, CopiesAndComparesByValue) {
+  const Route a{{3, 1, 4}};
+  Route b = a;
+  EXPECT_EQ(a, b);
+  b.ports[1] = 5;  // mutating the copy leaves the original alone
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a.str(), "[3,1,4]");
+  EXPECT_EQ(b.str(), "[3,5,4]");
+  b.ports.assign(a.ports.begin(), a.ports.begin() + 2);
+  EXPECT_EQ(b, (Route{{3, 1}}));
 }
 
 TEST(Topology, TraceRouteFollowsPorts) {

@@ -127,7 +127,7 @@ TEST_P(RandomFabricProperty, RawFabricDeliversAlongComputedRoutes) {
   net::Fabric fabric(sched, f.topo, {});
   std::vector<int> got(f.topo.num_hosts(), 0);
   for (auto h : f.hosts) {
-    fabric.attach(h, [&got, h](net::Packet&&) { ++got[h.v]; });
+    fabric.attach(h, [&got, h](net::Packet&&, bool) { ++got[h.v]; });
   }
   int sent = 0;
   for (int i = 0; i < 64; ++i) {

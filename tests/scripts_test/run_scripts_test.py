@@ -57,6 +57,15 @@ def main():
     check("metrics_diff stale golden -> shape error",
           [md, fx("metrics_golden.json"), fx("metrics_stale_golden.json")],
           2, "re-generate")
+    # Simulated-latency gate: kv.call_latency_ns / traffic.request_latency_ns
+    # p50 and p99 are cost metrics, per-node instances folded to their max.
+    check("metrics_diff latency within tolerance",
+          [md, fx("metrics_latency_golden.json"),
+           fx("metrics_latency_ok.json")], 0)
+    check("metrics_diff latency tail regression",
+          [md, fx("metrics_latency_golden.json"),
+           fx("metrics_latency_regressed.json")], 1,
+          "kv.call_latency_ns.p99")
 
     pf = os.path.join(SCRIPTS, "perf_floor.py")
     check("perf_floor holds",
