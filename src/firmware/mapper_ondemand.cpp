@@ -405,25 +405,32 @@ void OnDemandMapper::on_probe_packet(Packet pkt) {
     case PacketType::kProbeSwitch: {
       // A bounce probe only means something to its own sender.
       if (pkt.hdr.src != nic_.self()) return;
-      auto it = inflight_.find(pkt.hdr.user.w0);
-      if (it == inflight_.end() || it->second->replied) return;
-      it->second->replied = true;
-      it->second->replier = nic_.self();
-      it->second->done.fire(sched);
+      ProbeWait* w = inflight(pkt.hdr.user.w0);
+      if (w == nullptr || w->replied) return;
+      w->replied = true;
+      w->replier = nic_.self();
+      w->done.fire(sched);
       return;
     }
     case PacketType::kProbeReply: {
       ++stats_.probe_replies_rx;
-      auto it = inflight_.find(pkt.hdr.user.w0);
-      if (it == inflight_.end() || it->second->replied) return;
-      it->second->replied = true;
-      it->second->replier = HostId{static_cast<std::uint32_t>(pkt.hdr.user.w1)};
-      it->second->done.fire(sched);
+      ProbeWait* w = inflight(pkt.hdr.user.w0);
+      if (w == nullptr || w->replied) return;
+      w->replied = true;
+      w->replier = HostId{static_cast<std::uint32_t>(pkt.hdr.user.w1)};
+      w->done.fire(sched);
       return;
     }
     default:
       return;
   }
+}
+
+OnDemandMapper::ProbeWait* OnDemandMapper::inflight(std::uint64_t nonce) const {
+  for (const auto& [n, w] : inflight_) {
+    if (n == nonce) return w;
+  }
+  return nullptr;
 }
 
 /// Send one probe of `type` down `route`, wait for reply or timeout,
@@ -435,7 +442,7 @@ sim::Task<bool> OnDemandMapper::probe_and_wait_impl(PacketType type,
   for (int attempt = 0; attempt <= cfg_.probe_retries; ++attempt) {
     ProbeWait w;
     w.nonce = next_nonce_++;
-    inflight_[w.nonce] = &w;
+    inflight_.emplace_back(w.nonce, &w);
 
     Packet pkt;
     pkt.hdr.type = type;
@@ -450,14 +457,17 @@ sim::Task<bool> OnDemandMapper::probe_and_wait_impl(PacketType type,
     inject_probe(std::move(pkt));
 
     const std::uint64_t nonce = w.nonce;
-    sched.after(cfg_.probe_timeout, [this, nonce, &sched] {
-      auto it = inflight_.find(nonce);
-      if (it != inflight_.end() && !it->second->replied) {
-        it->second->done.fire(sched);
-      }
-    });
+    const sim::EventHandle timeout =
+        sched.after(cfg_.probe_timeout, [this, nonce, &sched] {
+          ProbeWait* pw = inflight(nonce);
+          if (pw != nullptr && !pw->replied) pw->done.fire(sched);
+        });
     co_await w.done.wait(sched);
-    inflight_.erase(w.nonce);
+    // Once the probe is answered its timeout would find no waiter, so drop
+    // it unrun (a no-op when the timeout is what woke us).
+    sched.cancel(timeout);
+    std::erase_if(inflight_,
+                  [nonce](const auto& e) { return e.first == nonce; });
     if (w.replied) {
       if (replier != nullptr) *replier = w.replier;
       co_return true;
@@ -530,7 +540,35 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
   // it is what the duplicate-detection probes compare against). The frontier
   // is a set of indices into it — phase (b) grows `known`, so loop bodies
   // copy the fields they need instead of holding references across awaits.
+  //
+  // With a radix_oracle, identity verdicts compare oracle devices. Each
+  // known switch's device is memoized in KnownSwitch::dev, valid for the
+  // wiring generation `memo_gen`; a re-cabling mid-mapping (connect /
+  // disconnect) moves the generation and sync_identity() re-derives them.
+  // Under configured identity, `first_known` maps a switch id to the first
+  // known entry holding it, so a verdict is one lookup.
+  const net::Topology* const oracle = cfg_.radix_oracle;
+  const bool identity_db = cfg_.configured_identity && oracle != nullptr;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  constexpr std::uint64_t kStaleMemo = ~std::uint64_t{0};
   std::vector<KnownSwitch> known;
+  std::vector<std::size_t> first_known;
+  std::uint64_t memo_gen = kStaleMemo;
+  auto index_identity = [&](std::size_t j) {
+    const std::optional<net::Device>& d = known[j].dev;
+    if (!identity_db || !d || !d->is_switch()) return;
+    if (d->index >= first_known.size()) first_known.resize(d->index + 1, kNone);
+    if (first_known[d->index] == kNone) first_known[d->index] = j;
+  };
+  auto sync_identity = [&] {
+    if (oracle == nullptr || memo_gen == oracle->wiring_generation()) return;
+    memo_gen = oracle->wiring_generation();
+    if (identity_db) first_known.assign(oracle->num_switches(), kNone);
+    for (std::size_t j = 0; j < known.size(); ++j) {
+      known[j].dev = oracle->device_after(nic_.self(), known[j].forward);
+      index_identity(j);
+    }
+  };
   {
     KnownSwitch root;
     root.forward = Route{};
@@ -538,6 +576,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
     root.entry_port = *attach_port_;
     root.radix = radix_of(Route{});
     known.push_back(std::move(root));
+    sync_identity();
   }
   std::vector<std::size_t> frontier{0};
 
@@ -553,7 +592,6 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
       std::uint8_t port;
     };
     std::vector<SilentPort> silent;
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     std::size_t found_sw = kNone;
     std::uint8_t found_port = 0;
     for (const std::size_t fi : frontier) {
@@ -634,55 +672,54 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
       // edge's way home still loops back to the prober — which silently
       // prunes whole pods from the search. When the operator configured the
       // fabric class (radix_oracle, same knowledge assumption as the radix
-      // lookup), the verdict is resolved against the real topology instead.
-      // The probe is sent and counted either way: configured identity does
-      // not waive Table 3's "distinguishing new switches from old ones"
-      // traffic.
+      // lookup), the verdict is resolved against the real topology instead,
+      // but the comparison probes are still sent and counted: Table 3's
+      // "distinguishing new switches from old ones" traffic. Only
+      // configured_identity waives them, and then the verdict is a lookup.
       std::optional<net::Device> cand_dev;
-      if (cfg_.radix_oracle != nullptr) {
-        cand_dev = cfg_.radix_oracle->device_after(nic_.self(), nf);
+      std::uint64_t cand_gen = kStaleMemo;
+      if (oracle != nullptr) {
+        cand_gen = oracle->wiring_generation();
+        cand_dev = oracle->device_after(nic_.self(), nf);
       }
-      const bool identity_db =
-          cfg_.configured_identity && cfg_.radix_oracle != nullptr;
-      bool duplicate = false;
-      for (std::size_t j = 0; j < known.size(); ++j) {
+      const bool cand_is_switch = cand_dev.has_value() && cand_dev->is_switch();
+      std::size_t dup = kNone;  // index into `known` of the switch behind sp
+      if (identity_db) {
         if (over_budget()) co_return budget_fail();
-        std::optional<net::Device> known_dev;
-        if (cfg_.radix_oracle != nullptr) {
-          known_dev =
-              cfg_.radix_oracle->device_after(nic_.self(), known[j].forward);
+        sync_identity();
+        if (cand_is_switch && cand_dev->index < first_known.size()) {
+          dup = first_known[cand_dev->index];
         }
-        bool probe_back = false;
-        if (!identity_db) {
+      } else {
+        for (std::size_t j = 0; j < known.size(); ++j) {
+          if (over_budget()) co_return budget_fail();
+          sync_identity();
+          const bool same_dev = cand_is_switch && known[j].dev == cand_dev;
           Route vr = nf;
           const auto& home = known[j].reverse.ports;
           vr.ports.append(home.begin(), home.end());
           count_probe();
-          probe_back = co_await probe_and_wait_impl(PacketType::kProbeSwitch,
-                                                    vr, nullptr);
-        }
-        const bool is_dup =
-            cfg_.radix_oracle != nullptr
-                ? (cand_dev.has_value() && cand_dev->is_switch() &&
-                   known_dev.has_value() && *cand_dev == *known_dev)
-                : probe_back;
-        if (is_dup) {
-          duplicate = true;
-          if (cfg_.multipath) {
-            Route alt = nf;
-            KnownSwitch& dup = known[j];
-            if (alt.ports.size() == dup.forward.ports.size() &&
-                alt != dup.forward &&
-                dup.alt_forwards.size() < kMaxAltForwards &&
-                std::find(dup.alt_forwards.begin(), dup.alt_forwards.end(),
-                          alt) == dup.alt_forwards.end()) {
-              dup.alt_forwards.push_back(std::move(alt));
-            }
+          const bool probe_back = co_await probe_and_wait_impl(
+              PacketType::kProbeSwitch, vr, nullptr);
+          if (oracle != nullptr ? same_dev : probe_back) {
+            dup = j;
+            break;
           }
-          break;
         }
       }
-      if (duplicate) continue;
+      if (dup != kNone) {
+        if (cfg_.multipath) {
+          Route alt = nf;
+          KnownSwitch& d = known[dup];
+          if (alt.ports.size() == d.forward.ports.size() &&
+              alt != d.forward && d.alt_forwards.size() < kMaxAltForwards &&
+              std::find(d.alt_forwards.begin(), d.alt_forwards.end(), alt) ==
+                  d.alt_forwards.end()) {
+            d.alt_forwards.push_back(std::move(alt));
+          }
+        }
+        continue;
+      }
       const std::uint8_t guess_bound = radix_of(nf);
       for (std::uint8_t y = 0; y < guess_bound; ++y) {
         if (over_budget()) co_return budget_fail();
@@ -699,7 +736,14 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
           ns.radix = guess_bound;
           ns.reverse.ports.push_back(y);
           ns.reverse.ports.append(sw_reverse.begin(), sw_reverse.end());
+          ns.dev = cand_dev;
           known.push_back(std::move(ns));
+          // cand_dev is only as fresh as the wiring it was derived from.
+          if (cand_gen == memo_gen) {
+            index_identity(known.size() - 1);
+          } else {
+            memo_gen = kStaleMemo;
+          }
           next.push_back(known.size() - 1);
           break;
         }
@@ -735,13 +779,16 @@ sim::Process OnDemandMapper::drive() {
 
     stats_.last_mapping_time = sched.now() - t0;
     stats_.mapping_time_total += stats_.last_mapping_time;
-    // Mapping runs are rare (permanent failures only), so the string build
-    // and registry lookup are off any hot path.
-    obs::Registry::of(sched)
-        .histogram("mapper.mapping_time_ns{node=" +
-                       std::to_string(nic_.self().v) + "}",
-                   "ns")
-        .record(static_cast<std::uint64_t>(stats_.last_mapping_time));
+    // Mappings run on every remap of a failed path, thousands per second of
+    // simulated time when a dead peer keeps being re-mapped, so the
+    // histogram is looked up once, not per mapping.
+    if (mapping_time_hist_ == nullptr) {
+      mapping_time_hist_ = &obs::Registry::of(sched).histogram(
+          "mapper.mapping_time_ns{node=" + std::to_string(nic_.self().v) + "}",
+          "ns");
+    }
+    mapping_time_hist_->record(
+        static_cast<std::uint64_t>(stats_.last_mapping_time));
     stats_.last_host_probes = stats_.host_probes_tx - h0;
     stats_.last_switch_probes = stats_.switch_probes_tx - s0;
     // A run poisoned by a concurrent on_path_failure is served but never

@@ -33,6 +33,7 @@
 #include "firmware/mapper.hpp"
 #include "net/topology.hpp"
 #include "nic/nic.hpp"
+#include "obs/metrics.hpp"
 #include "sim/awaitables.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
@@ -212,6 +213,10 @@ class OnDemandMapper final : public MapperIface {
     std::uint8_t radix = 16;             // ports to probe on it
     /// Equal-length alternative forwards (multipath only; capped).
     std::vector<net::Route> alt_forwards;
+    /// radix_oracle's device at the end of `forward`, memoized for the
+    /// duplicate-detection verdicts; the BFS re-derives it whenever the
+    /// oracle's wiring generation moves.
+    std::optional<net::Device> dev;
   };
 
   /// LRU map destination -> discovered route, plus an optional precomputed
@@ -290,6 +295,9 @@ class OnDemandMapper final : public MapperIface {
 
   void inject_probe(net::Packet pkt);
 
+  /// The in-flight probe waiting on `nonce`, or nullptr.
+  [[nodiscard]] ProbeWait* inflight(std::uint64_t nonce) const;
+
   // --- proactive backup paths (cfg_.proactive_backup) ----------------------
   /// Salt for disjoint_route tie-breaking: multipath machinery, distinct
   /// stream (backups must not mirror the primary multipath picks).
@@ -322,9 +330,15 @@ class OnDemandMapper final : public MapperIface {
   /// Destinations with a replenish probe in flight (suppress duplicates).
   std::unordered_map<net::HostId, bool> replenishing_;
 
-  /// Nonce -> in-flight probe bookkeeping.
-  std::unordered_map<std::uint64_t, ProbeWait*> inflight_;
+  /// Nonce -> in-flight probe bookkeeping. Rarely more than two entries (the
+  /// BFS probe plus a replenish probe), so a flat vector searched linearly
+  /// beats a hash node per probe.
+  std::vector<std::pair<std::uint64_t, ProbeWait*>> inflight_;
   std::uint64_t next_nonce_ = 1;
+  /// This node's mapper.mapping_time_ns histogram, resolved at the first
+  /// completed mapping (registering it earlier would export an empty
+  /// histogram for every node that never maps).
+  obs::Histogram* mapping_time_hist_ = nullptr;
 
   /// Cached: port of our first-hop switch we attach to (rediscovered when a
   /// mapping that relied on it fails at level 0).

@@ -41,10 +41,16 @@ class RouteTable {
   /// Preload shortest routes from `self` to every other host (the full-map
   /// baseline). Unreachable hosts are skipped.
   void populate_all(const net::Topology& topo, net::HostId self) {
-    for (std::uint32_t h = 0; h < topo.num_hosts(); ++h) {
+    populate_all(topo.shortest_routes_from(self));
+  }
+
+  /// Preload every route of an already-built tree (its source excluded), so
+  /// a caller that needs the tree for more than the table searches once.
+  void populate_all(const net::RouteTree& tree) {
+    for (std::uint32_t h = 0; h < tree.num_hosts(); ++h) {
       const net::HostId dst{h};
-      if (dst == self) continue;
-      if (auto r = topo.shortest_route(self, dst)) set(dst, std::move(*r));
+      if (dst == tree.source()) continue;
+      if (auto r = tree[dst]) set(dst, std::move(*r));
     }
   }
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "firmware/mapper_full.hpp"
@@ -147,10 +148,14 @@ class Cluster {
     for (std::size_t i = 0; i < hosts.size(); ++i) {
       nics_.push_back(
           std::make_unique<nic::Nic>(sched, *fabric_, hosts[i], cfg_.nic));
+      // One BFS tree per host feeds both the route table and the mapper's
+      // seeded cache.
+      std::optional<net::RouteTree> preload;
+      if (cfg_.preload_routes) preload = topo.shortest_routes_from(hosts[i]);
       if (cfg_.fw == FirmwareKind::kReliable) {
         rel_.push_back(
             std::make_unique<firmware::ReliableFirmware>(*nics_.back(), cfg_.rel));
-        if (cfg_.preload_routes) rel_.back()->routes().populate_all(topo, hosts[i]);
+        if (preload) rel_.back()->routes().populate_all(*preload);
         if (cfg_.mapper == MapperKind::kOnDemand) {
           auto od = cfg_.ondemand;
           if (od.radix_oracle == nullptr) od.radix_oracle = &topo;
@@ -161,10 +166,10 @@ class Cluster {
           // mapper's cache would be cold and the first on_path_failure would
           // find no backup to promote. Seed the cache (and its proactive
           // backups) from the same routes the tables were preloaded with.
-          if (cfg_.preload_routes && od.proactive_backup) {
+          if (preload && od.proactive_backup) {
             for (const net::HostId other : hosts) {
               if (other == hosts[i]) continue;
-              if (auto r = topo.shortest_route(hosts[i], other)) {
+              if (auto r = (*preload)[other]) {
                 mappers_.back()->seed_cache(other, *r);
               }
             }
@@ -176,7 +181,7 @@ class Cluster {
         }
       } else {
         raw_.push_back(std::make_unique<firmware::RawFirmware>(*nics_.back()));
-        if (cfg_.preload_routes) raw_.back()->routes().populate_all(topo, hosts[i]);
+        if (preload) raw_.back()->routes().populate_all(*preload);
       }
       inboxes_[i] = std::make_unique<sim::Channel<HostMsg>>();
       nics_[i]->set_host_rx(

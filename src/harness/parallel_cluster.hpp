@@ -121,20 +121,22 @@ class ParallelCluster {
       const std::uint32_t p = part.host_owner[i];
       nics_.push_back(std::make_unique<nic::Nic>(
           engine->local(p), *shards_[p], hosts[i], cc.nic));
+      std::optional<net::RouteTree> preload;
+      if (cc.preload_routes) preload = topo.shortest_routes_from(hosts[i]);
       if (cc.fw == FirmwareKind::kReliable) {
         rel_.push_back(std::make_unique<firmware::ReliableFirmware>(
             *nics_.back(), cc.rel));
-        if (cc.preload_routes) rel_.back()->routes().populate_all(topo, hosts[i]);
+        if (preload) rel_.back()->routes().populate_all(*preload);
         if (cc.mapper == MapperKind::kOnDemand) {
           auto od = cc.ondemand;
           if (od.radix_oracle == nullptr) od.radix_oracle = &topo;
           mappers_.push_back(
               std::make_unique<firmware::OnDemandMapper>(*nics_.back(), od));
           rel_.back()->set_mapper(mappers_.back().get());
-          if (cc.preload_routes && od.proactive_backup) {
+          if (preload && od.proactive_backup) {
             for (const net::HostId other : hosts) {
               if (other == hosts[i]) continue;
-              if (auto r = topo.shortest_route(hosts[i], other)) {
+              if (auto r = (*preload)[other]) {
                 mappers_.back()->seed_cache(other, *r);
               }
             }
@@ -146,7 +148,7 @@ class ParallelCluster {
         }
       } else {
         raw_.push_back(std::make_unique<firmware::RawFirmware>(*nics_.back()));
-        if (cc.preload_routes) raw_.back()->routes().populate_all(topo, hosts[i]);
+        if (preload) raw_.back()->routes().populate_all(*preload);
       }
       inboxes_[i] = std::make_unique<sim::Channel<HostMsg>>();
       nics_[i]->set_host_rx(

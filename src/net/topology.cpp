@@ -1,9 +1,8 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <deque>
-#include <map>
 #include <numeric>
 #include <stdexcept>
 
@@ -53,6 +52,7 @@ LinkId Topology::connect(Port a, Port b, LinkModel model) {
   links_.push_back(LinkRec{a, b, model, /*up=*/true, /*disconnected=*/false});
   sa = id;
   sb = id;
+  ++wiring_gen_;
   return id;
 }
 
@@ -62,6 +62,7 @@ void Topology::disconnect(LinkId l) {
   rec.disconnected = true;
   port_slot(rec.a).reset();
   port_slot(rec.b).reset();
+  ++wiring_gen_;
 }
 
 std::vector<LinkId> Topology::links_at(Device d) const {
@@ -84,69 +85,100 @@ std::optional<Topology::Attachment> Topology::peer_of(Port p) const {
   return Attachment{peer, **slot};
 }
 
-std::optional<Route> Topology::shortest_route(HostId from, HostId to) const {
-  if (from == to) return Route{};  // loopback: no fabric traversal
-  struct Crumb {
-    Device prev;
-    LinkId via;
-  };
-  std::map<Device, Crumb> visited;
-
-  const Device start = Device::host(from);
-  const Device goal = Device::host(to);
-  std::deque<Device> frontier{start};
-  visited[start] = Crumb{start, LinkId{}};
-
-  auto expand = [&](Device d, Port p) -> std::optional<Device> {
-    auto att = peer_of(p);
-    if (!att || !link_up(att->link)) return std::nullopt;
-    const Device nbr = att->peer.dev;
-    if (nbr.is_switch() && !switch_up(nbr.as_switch())) return std::nullopt;
-    if (visited.contains(nbr)) return std::nullopt;
-    visited[nbr] = Crumb{d, att->link};
-    return nbr;
-  };
-
-  bool found = false;
-  while (!frontier.empty() && !found) {
-    const Device d = frontier.front();
-    frontier.pop_front();
-    if (d.is_host()) {
-      if (d != start) continue;  // other hosts do not forward
-      if (auto n = expand(d, Port{d, 0})) {
-        if (*n == goal) found = true;
-        frontier.push_back(*n);
-      }
-    } else {
-      const auto& sw = switches_[d.index];
-      if (!sw.up) continue;
-      for (std::uint8_t p = 0; p < sw.num_ports && !found; ++p) {
-        if (auto n = expand(d, Port{d, p})) {
-          if (*n == goal) found = true;
-          frontier.push_back(*n);
-        }
-      }
-    }
-  }
-  if (!visited.contains(goal)) return std::nullopt;
-
-  // Walk back from the goal collecting, for every switch on the path, the
-  // output port it must use (the port on its side of the link to the next
-  // device toward the goal).
+std::optional<Route> RouteTree::operator[](HostId to) const {
+  if (to == from_) return Route{};  // loopback: no fabric traversal
+  if (to.v >= num_hosts_ || crumbs_.empty()) return std::nullopt;
+  if (crumbs_[to.v].prev == kUnvisited) return std::nullopt;
+  // Walk back from the destination collecting, for every switch on the
+  // path, the output port it must use toward the destination.
   Route route;
-  Device cur = goal;
-  while (cur != start) {
-    const Crumb& c = visited[cur];
-    const Device prev = c.prev;
-    if (prev.is_switch()) {
-      const LinkRec& rec = links_[c.via.v];
-      const Port out = (rec.a.dev == prev) ? rec.a : rec.b;
-      route.ports.push_back(out.port);
-    }
-    cur = prev;
+  for (std::uint32_t cur = to.v; cur != from_.v;) {
+    const Crumb& c = crumbs_[cur];
+    if (c.prev >= num_hosts_) route.ports.push_back(c.out_port);
+    cur = c.prev;
   }
   std::reverse(route.ports.begin(), route.ports.end());
   return route;
+}
+
+RouteTree Topology::search(HostId from, std::optional<HostId> goal,
+                           const std::vector<char>& link_banned,
+                           const std::vector<char>& switch_banned,
+                           std::optional<std::uint64_t> salt) const {
+  RouteTree tree;
+  tree.from_ = from;
+  tree.num_hosts_ = hosts_.size();
+  if (from.v >= hosts_.size()) return tree;  // no such host: nothing reachable
+  const auto num_hosts = static_cast<std::uint32_t>(hosts_.size());
+  auto dense = [num_hosts](Device d) {
+    return d.is_host() ? d.index : num_hosts + d.index;
+  };
+  auto link_ok = [&](LinkId l) {
+    return link_up(l) && !(l.v < link_banned.size() && link_banned[l.v]);
+  };
+  auto switch_ok = [&](SwitchId s) {
+    return switch_up(s) && !(s.v < switch_banned.size() && switch_banned[s.v]);
+  };
+
+  std::vector<RouteTree::Crumb>& crumbs = tree.crumbs_;
+  crumbs.resize(hosts_.size() + switches_.size());
+  crumbs[from.v].prev = from.v;
+  // FIFO frontier: every device enters at most once, so a vector read from
+  // `head` never needs to pop.
+  std::vector<Device> frontier;
+  frontier.reserve(crumbs.size());
+  frontier.push_back(Device::host(from));
+  bool found = false;
+  auto expand = [&](Device d, Port p) {
+    auto att = peer_of(p);
+    if (!att || !link_ok(att->link)) return;
+    const Device nbr = att->peer.dev;
+    if (nbr.is_switch() && !switch_ok(nbr.as_switch())) return;
+    RouteTree::Crumb& c = crumbs[dense(nbr)];
+    if (c.prev != RouteTree::kUnvisited) return;
+    c.prev = dense(d);
+    c.out_port = p.port;
+    if (goal && nbr == Device::host(*goal)) found = true;
+    frontier.push_back(nbr);
+  };
+
+  for (std::size_t head = 0; head < frontier.size() && !found; ++head) {
+    const Device d = frontier[head];
+    if (d.is_host()) {
+      if (d.index != from.v) continue;  // other hosts do not forward
+      expand(d, Port{d, 0});
+      continue;
+    }
+    const auto& sw = switches_[d.index];
+    if (!salt) {
+      for (std::uint8_t p = 0; p < sw.num_ports && !found; ++p) {
+        expand(d, Port{d, p});
+      }
+      continue;
+    }
+    // Salt-seeded per-switch port permutation: among equal-cost choices the
+    // first-found shortest path depends on expansion order, so the salt
+    // deterministically spreads backup picks across (source, destination)
+    // pairs the same way the mapper's multipath selection does.
+    std::array<std::uint8_t, 256> order{};
+    std::iota(order.begin(), order.begin() + sw.num_ports, std::uint8_t{0});
+    sim::Rng perm(*salt ^ (0x9E3779B97F4A7C15ull * (d.index + 1)));
+    for (std::size_t i = sw.num_ports; i > 1; --i) {
+      std::swap(order[i - 1], order[perm.uniform(i)]);
+    }
+    for (std::size_t i = 0; i < sw.num_ports && !found; ++i) {
+      expand(d, Port{d, order[i]});
+    }
+  }
+  return tree;
+}
+
+std::optional<Route> Topology::shortest_route(HostId from, HostId to) const {
+  return search(from, to, {}, {}, std::nullopt)[to];
+}
+
+RouteTree Topology::shortest_routes_from(HostId from) const {
+  return search(from, std::nullopt, {}, {}, std::nullopt);
 }
 
 std::optional<Device> Topology::device_after(HostId from,
@@ -202,87 +234,6 @@ std::optional<Device> Topology::trace_route_up(HostId from,
   return cur;
 }
 
-std::optional<Route> Topology::constrained_route(
-    HostId from, HostId to, const std::vector<char>& link_banned,
-    const std::vector<char>& switch_banned, std::uint64_t salt) const {
-  if (from == to) return Route{};
-  struct Crumb {
-    Device prev;
-    LinkId via;
-  };
-  std::map<Device, Crumb> visited;
-
-  const Device start = Device::host(from);
-  const Device goal = Device::host(to);
-  std::deque<Device> frontier{start};
-  visited[start] = Crumb{start, LinkId{}};
-
-  auto link_ok = [&](LinkId l) {
-    return link_up(l) && !(l.v < link_banned.size() && link_banned[l.v]);
-  };
-  auto switch_ok = [&](SwitchId s) {
-    return switch_up(s) && !(s.v < switch_banned.size() && switch_banned[s.v]);
-  };
-
-  auto expand = [&](Device d, Port p) -> std::optional<Device> {
-    auto att = peer_of(p);
-    if (!att || !link_ok(att->link)) return std::nullopt;
-    const Device nbr = att->peer.dev;
-    if (nbr.is_switch() && !switch_ok(nbr.as_switch())) return std::nullopt;
-    if (visited.contains(nbr)) return std::nullopt;
-    visited[nbr] = Crumb{d, att->link};
-    return nbr;
-  };
-
-  bool found = false;
-  while (!frontier.empty() && !found) {
-    const Device d = frontier.front();
-    frontier.pop_front();
-    if (d.is_host()) {
-      if (d != start) continue;  // other hosts do not forward
-      if (auto n = expand(d, Port{d, 0})) {
-        if (*n == goal) found = true;
-        frontier.push_back(*n);
-      }
-    } else {
-      const auto& sw = switches_[d.index];
-      if (!switch_ok(d.as_switch())) continue;
-      // Salt-seeded per-switch port permutation: among equal-cost choices the
-      // first-found shortest path depends on expansion order, so the salt
-      // deterministically spreads backup picks across (source, destination)
-      // pairs the same way the mapper's multipath selection does.
-      std::vector<std::uint8_t> order(sw.num_ports);
-      std::iota(order.begin(), order.end(), std::uint8_t{0});
-      sim::Rng perm(salt ^ (0x9E3779B97F4A7C15ull * (d.index + 1)));
-      for (std::size_t i = order.size(); i > 1; --i) {
-        std::swap(order[i - 1], order[perm.uniform(i)]);
-      }
-      for (std::size_t i = 0; i < order.size() && !found; ++i) {
-        if (auto n = expand(d, Port{d, order[i]})) {
-          if (*n == goal) found = true;
-          frontier.push_back(*n);
-        }
-      }
-    }
-  }
-  if (!visited.contains(goal)) return std::nullopt;
-
-  Route route;
-  Device cur = goal;
-  while (cur != start) {
-    const Crumb& c = visited[cur];
-    const Device prev = c.prev;
-    if (prev.is_switch()) {
-      const LinkRec& rec = links_[c.via.v];
-      const Port out = (rec.a.dev == prev) ? rec.a : rec.b;
-      route.ports.push_back(out.port);
-    }
-    cur = prev;
-  }
-  std::reverse(route.ports.begin(), route.ports.end());
-  return route;
-}
-
 std::optional<AltRoute> Topology::disjoint_route(HostId from, HostId to,
                                                  const Route& primary,
                                                  std::uint64_t salt) const {
@@ -331,7 +282,7 @@ std::optional<AltRoute> Topology::disjoint_route(HostId from, HostId to,
     std::vector<char> sb(switches_.size(), 0);
     for (const LinkId l : ban_links) lb[l.v] = 1;
     for (const SwitchId s : ban_switches) sb[s.v] = 1;
-    auto r = constrained_route(from, to, lb, sb, salt);
+    auto r = search(from, to, lb, sb, salt)[to];
     if (r && *r == primary) r.reset();  // replaying the primary is no backup
     return r;
   };

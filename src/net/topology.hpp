@@ -40,6 +40,34 @@ struct AltRoute {
   DisjointClass cls = DisjointClass::kOverlapping;
 };
 
+/// Shortest routes from one source host to every host, read off a single
+/// BFS tree (Topology::shortest_routes_from). Each device's parent is fixed
+/// the first time the search reaches it, in an order that does not depend on
+/// any destination, so every route is the one a search for that destination
+/// alone would return.
+class RouteTree {
+ public:
+  /// Route from the source to `to`: empty for the source itself, nullopt
+  /// when `to` is unreachable or not a host of the topology.
+  [[nodiscard]] std::optional<Route> operator[](HostId to) const;
+  [[nodiscard]] HostId source() const { return from_; }
+  /// Hosts of the topology the tree was built on.
+  [[nodiscard]] std::size_t num_hosts() const { return num_hosts_; }
+
+ private:
+  friend class Topology;
+  static constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
+  /// Where the search reached a device from: the parent's dense index
+  /// (hosts first, then switches) and the parent's output port.
+  struct Crumb {
+    std::uint32_t prev = kUnvisited;
+    std::uint8_t out_port = 0;
+  };
+  HostId from_;
+  std::size_t num_hosts_ = 0;
+  std::vector<Crumb> crumbs_;  // dense device index -> parent
+};
+
 class Topology {
  public:
   HostId add_host();
@@ -52,6 +80,11 @@ class Topology {
   /// Remove the link from its ports (models physically unplugging a cable,
   /// used to "move" a node in the dynamic-reconfiguration experiments).
   void disconnect(LinkId l);
+
+  /// Bumped by every connect() and effective disconnect(): anything derived
+  /// from the cabling alone (device_after, trace_route) may be memoized
+  /// until it moves. Up/down state does not bump it.
+  [[nodiscard]] std::uint64_t wiring_generation() const { return wiring_gen_; }
 
   [[nodiscard]] std::size_t num_hosts() const { return hosts_.size(); }
   [[nodiscard]] std::size_t num_switches() const { return switches_.size(); }
@@ -99,6 +132,11 @@ class Topology {
   /// another, as the port bytes the packet must carry. nullopt if unreachable.
   [[nodiscard]] std::optional<Route> shortest_route(HostId from,
                                                     HostId to) const;
+
+  /// Shortest routes from `from` to every host at once: one BFS over the
+  /// currently up fabric instead of one search per destination. Reading
+  /// destination `to` gives exactly shortest_route(from, to).
+  [[nodiscard]] RouteTree shortest_routes_from(HostId from) const;
 
   /// Walk a route from a host; returns the device where the packet ends up
   /// (ignoring up/down state), or nullopt if it falls off the fabric
@@ -150,13 +188,20 @@ class Topology {
 
   std::optional<LinkId>& port_slot(Port p);
   [[nodiscard]] const std::optional<LinkId>* port_slot_const(Port p) const;
-  [[nodiscard]] std::optional<Route> constrained_route(
-      HostId from, HostId to, const std::vector<char>& link_banned,
-      const std::vector<char>& switch_banned, std::uint64_t salt) const;
+  /// The one BFS behind every route helper: hosts other than `from` do not
+  /// forward, banned (or down) links and switches are skipped, and switch
+  /// ports are expanded in port order or, with a salt, in a salt-seeded
+  /// per-switch permutation (disjoint_route's tie-breaker). Stops early
+  /// once `goal` is reached.
+  [[nodiscard]] RouteTree search(HostId from, std::optional<HostId> goal,
+                                 const std::vector<char>& link_banned,
+                                 const std::vector<char>& switch_banned,
+                                 std::optional<std::uint64_t> salt) const;
 
   std::vector<HostRec> hosts_;
   std::vector<SwitchRec> switches_;
   std::vector<LinkRec> links_;
+  std::uint64_t wiring_gen_ = 0;
 };
 
 /// Build the paper's Figure-2 evaluation fabric: two 16-port and two 8-port

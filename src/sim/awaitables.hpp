@@ -37,15 +37,21 @@ struct DelayFor {
 };
 
 /// One-shot latched broadcast event. Once fired, waiters (current and future)
-/// resume immediately. reset() re-arms it.
+/// resume immediately, in the order they started waiting. reset() re-arms it.
+/// The first waiter is held inline, so the common single-waiter wait (a probe
+/// reply, an RPC completion) never touches the heap; later waiters spill into
+/// a vector.
 class Trigger {
  public:
   void fire(Scheduler& sched) {
     if (fired_) return;
     fired_ = true;
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : waiters) {
+    if (!first_) return;
+    const std::coroutine_handle<> first = std::exchange(first_, {});
+    sched.after(0, [first] { first.resume(); });
+    auto rest = std::move(rest_);
+    rest_.clear();
+    for (auto h : rest) {
       sched.after(0, [h] { h.resume(); });
     }
   }
@@ -59,7 +65,11 @@ class Trigger {
     Scheduler& sched;
     bool await_ready() const noexcept { return t.fired_; }
     void await_suspend(std::coroutine_handle<> h) const {
-      t.waiters_.push_back(h);
+      if (!t.first_) {
+        t.first_ = h;
+      } else {
+        t.rest_.push_back(h);
+      }
     }
     void await_resume() const noexcept {}
   };
@@ -68,7 +78,8 @@ class Trigger {
 
  private:
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;              // oldest waiter
+  std::vector<std::coroutine_handle<>> rest_;  // the others, FIFO
 };
 
 /// Go-style wait group: add() before spawning, done() when a process

@@ -4,7 +4,9 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "harness/cluster.hpp"
@@ -338,6 +340,160 @@ TEST(OnDemandMapper, MultipathSaltSteersEqualCostChoice) {
     ASSERT_TRUE(end.has_value());
     EXPECT_EQ(*end, net::Device::host(c.hosts[1]));
     picks.push_back(*r);
+  }
+}
+
+TEST(OnDemandMapper, ConfiguredIdentityMatchesOracleVerdictsWithFewerProbes) {
+  // Configured identity answers "is this a switch we already know?" with a
+  // lookup instead of comparison probes. The verdicts must be the ones the
+  // probing oracle-verdict mapper reaches, so the search explores the same
+  // switches: same route, same host probes, same multipath candidates.
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {0, 32},  // same edge: found at depth 0, no duplicate detection
+      {0, 1},   // same pod
+      {20, 21},
+      {0, 4},   // cross-pod
+      {9, 50},
+      {63, 7},
+  };
+  for (const bool multipath : {false, true}) {
+    for (const auto& [src, dst] : pairs) {
+      std::optional<net::Route> route[2];
+      firmware::OnDemandMapperStats stats[2];
+      for (const bool configured : {false, true}) {
+        auto cfg = ondemand_cfg(64, TopoKind::kClos);
+        cfg.ondemand.multipath = multipath;
+        cfg.ondemand.configured_identity = configured;
+        cfg.ondemand.max_probes = std::size_t{1} << 17;
+        Cluster c(cfg);
+        route[configured] = map_now(c, src, dst);
+        stats[configured] = c.mapper(src).stats();
+      }
+      SCOPED_TRACE(::testing::Message() << "multipath=" << multipath << " "
+                                        << src << "->" << dst);
+      ASSERT_TRUE(route[false].has_value());
+      EXPECT_EQ(route[true], route[false]);
+      EXPECT_EQ(stats[true].host_probes_tx, stats[false].host_probes_tx);
+      EXPECT_EQ(stats[true].multipath_candidates,
+                stats[false].multipath_candidates);
+      if (multipath) {
+        EXPECT_GT(stats[true].multipath_candidates, 0u);
+      }
+      if (route[false]->hops() > 1) {
+        EXPECT_LT(stats[true].switch_probes_tx, stats[false].switch_probes_tx);
+      } else {
+        EXPECT_EQ(stats[true].switch_probes_tx, stats[false].switch_probes_tx);
+      }
+    }
+  }
+}
+
+/// Swap the far ends of the cables plugged into ports `a` and `b`.
+void swap_cables(net::Topology& t, net::Port a, net::Port b) {
+  const auto at_a = t.peer_of(a);
+  const auto at_b = t.peer_of(b);
+  ASSERT_TRUE(at_a.has_value());
+  ASSERT_TRUE(at_b.has_value());
+  t.disconnect(at_a->link);
+  t.disconnect(at_b->link);
+  t.connect(a, at_b->peer);
+  t.connect(b, at_a->peer);
+}
+
+/// One mapping hosts[src] -> hosts[dst] with a re-cabling applied once the
+/// mapper has sent `rewire_after` probes: between two events, so while the
+/// BFS waits on a probe.
+struct RewiredMapping {
+  std::optional<net::Route> route;
+  bool rewired_in_flight = false;  // false: the mapping ended first
+  std::uint64_t gen_at_request = 0;
+  std::uint64_t gen_at_answer = 0;
+  firmware::OnDemandMapperStats stats;
+};
+
+template <class Rewire>
+RewiredMapping map_with_rewire(Cluster& c, std::size_t src, std::size_t dst,
+                               std::uint64_t rewire_after, Rewire rewire) {
+  RewiredMapping m;
+  m.gen_at_request = c.topo.wiring_generation();
+  bool done = false;
+  c.mapper(src).request_route(c.hosts[dst], [&](std::optional<net::Route> r) {
+    m.route = std::move(r);
+    m.gen_at_answer = c.topo.wiring_generation();
+    done = true;
+  });
+  while (!done && c.sched.step()) {
+    const auto& st = c.mapper(src).stats();
+    if (!m.rewired_in_flight &&
+        st.host_probes_tx + st.switch_probes_tx >= rewire_after) {
+      m.rewired_in_flight = true;
+      rewire();
+    }
+  }
+  EXPECT_TRUE(done);
+  m.stats = c.mapper(src).stats();
+  return m;
+}
+
+net::Port switch_port(const Cluster& c, std::size_t sw, std::uint8_t port) {
+  return net::Port{net::Device::sw(c.switches[sw]), port};
+}
+
+TEST(OnDemandMapper, RecablingAHostMidMappingYieldsALiveRoute) {
+  // Host 4, the destination, trades access cables with host 9 (another pod)
+  // while host 0 is mapping it. Whatever route comes back must reach host 4
+  // under the new wiring.
+  for (const bool configured : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "configured_identity=" << configured);
+    auto cfg = ondemand_cfg(64, TopoKind::kClos);
+    cfg.ondemand.configured_identity = configured;
+    cfg.ondemand.max_probes = std::size_t{1} << 17;
+    Cluster c(cfg);
+    const RewiredMapping m = map_with_rewire(c, 0, 4, 20, [&] {
+      swap_cables(c.topo, {net::Device::host(c.hosts[4]), 0},
+                  {net::Device::host(c.hosts[9]), 0});
+    });
+    EXPECT_TRUE(m.rewired_in_flight);
+    EXPECT_GT(m.gen_at_answer, m.gen_at_request);
+    if (m.route) {
+      const auto end = c.topo.trace_route(c.hosts[0], *m.route);
+      ASSERT_TRUE(end.has_value());
+      EXPECT_EQ(*end, net::Device::host(c.hosts[4]));
+    }
+  }
+}
+
+TEST(OnDemandMapper, RelabelingSwitchesMidMappingLeavesConfiguredSearchAlone) {
+  // Pod 0's first two aggregation switches (k=8: 16 cores come first) trade
+  // their first edge cable and their first core uplink. The fabric is
+  // isomorphic afterwards: every route byte sequence leads to an equivalent
+  // position, only the switch behind it changed. A configured-identity
+  // search must notice the new wiring generation and re-derive its
+  // memoized identities — then it sends exactly the probes, and returns
+  // exactly the route, of an undisturbed search. Stale identities would
+  // give verdicts against switches that moved.
+  auto cfg = ondemand_cfg(64, TopoKind::kClos);
+  cfg.ondemand.configured_identity = true;
+  std::optional<net::Route> want;
+  firmware::OnDemandMapperStats want_stats;
+  {
+    Cluster c(cfg);
+    want = map_now(c, 0, 4);
+    want_stats = c.mapper(0).stats();
+  }
+  ASSERT_TRUE(want.has_value());
+  for (std::uint64_t after = 0; after < 120; after += 3) {
+    SCOPED_TRACE(::testing::Message() << "rewired after " << after);
+    Cluster c(cfg);
+    const RewiredMapping m = map_with_rewire(c, 0, 4, after, [&] {
+      swap_cables(c.topo, switch_port(c, 16, 0), switch_port(c, 17, 0));
+      swap_cables(c.topo, switch_port(c, 16, 4), switch_port(c, 17, 4));
+    });
+    ASSERT_TRUE(m.rewired_in_flight);
+    EXPECT_GT(m.gen_at_answer, m.gen_at_request);
+    EXPECT_EQ(m.route, want);
+    EXPECT_EQ(m.stats.host_probes_tx, want_stats.host_probes_tx);
+    EXPECT_EQ(m.stats.switch_probes_tx, want_stats.switch_probes_tx);
   }
 }
 

@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <map>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -170,6 +173,22 @@ TEST(Topology, DisconnectUnplugsBothEnds) {
   auto r = f.topo.shortest_route(f.h0, f.h1);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, (Route{{5}}));
+}
+
+TEST(Topology, WiringGenerationTracksCablingOnly) {
+  PairFixture f;
+  const std::uint64_t g0 = f.topo.wiring_generation();
+  // Up/down state is not cabling: device_after ignores it.
+  f.topo.set_link_up(f.l1, false);
+  f.topo.set_switch_up(f.sw, false);
+  EXPECT_EQ(f.topo.wiring_generation(), g0);
+  f.topo.disconnect(f.l1);
+  const std::uint64_t g1 = f.topo.wiring_generation();
+  EXPECT_GT(g1, g0);
+  f.topo.disconnect(f.l1);  // already unplugged: nothing changed
+  EXPECT_EQ(f.topo.wiring_generation(), g1);
+  f.topo.connect({Device::host(f.h1), 0}, {Device::sw(f.sw), 5});
+  EXPECT_GT(f.topo.wiring_generation(), g1);
 }
 
 TEST(Route, OverflowPastCapacityThrows) {
@@ -492,6 +511,127 @@ TEST(ClosFabric, SurvivesSingleCoreSwitchDeath) {
     ASSERT_TRUE(r.has_value()) << "0->" << j;
     EXPECT_EQ(*f.topo.trace_route(f.hosts[0], *r), Device::host(f.hosts[j]));
   }
+}
+
+// Goal-directed per-pair search, kept as the reference that every route of
+// Topology::shortest_routes_from must reproduce byte for byte: a std::map of
+// crumbs fixed on first visit, expansion in port order, stop at the goal.
+std::optional<Route> reference_route(const Topology& t, HostId from,
+                                     HostId to) {
+  if (from == to) return Route{};
+  struct Crumb {
+    Device prev;
+    LinkId via;
+  };
+  std::map<Device, Crumb> visited;
+  const Device start = Device::host(from);
+  const Device goal = Device::host(to);
+  std::deque<Device> frontier{start};
+  visited[start] = Crumb{start, LinkId{}};
+  auto expand = [&](Device d, Port p) -> std::optional<Device> {
+    auto att = t.peer_of(p);
+    if (!att || !t.link_up(att->link)) return std::nullopt;
+    const Device nbr = att->peer.dev;
+    if (nbr.is_switch() && !t.switch_up(nbr.as_switch())) return std::nullopt;
+    if (visited.contains(nbr)) return std::nullopt;
+    visited[nbr] = Crumb{d, att->link};
+    return nbr;
+  };
+  bool found = false;
+  while (!frontier.empty() && !found) {
+    const Device d = frontier.front();
+    frontier.pop_front();
+    if (d.is_host()) {
+      if (d != start) continue;
+      if (auto n = expand(d, Port{d, 0})) {
+        if (*n == goal) found = true;
+        frontier.push_back(*n);
+      }
+      continue;
+    }
+    if (!t.switch_up(d.as_switch())) continue;
+    for (std::uint8_t p = 0; p < t.switch_ports(d.as_switch()) && !found;
+         ++p) {
+      if (auto n = expand(d, Port{d, p})) {
+        if (*n == goal) found = true;
+        frontier.push_back(*n);
+      }
+    }
+  }
+  if (!visited.contains(goal)) return std::nullopt;
+  Route route;
+  for (Device cur = goal; cur != start;) {
+    const Crumb& c = visited[cur];
+    if (c.prev.is_switch()) {
+      const auto [a, b] = t.link_ends(c.via);
+      route.ports.push_back((a.dev == c.prev ? a : b).port);
+    }
+    cur = c.prev;
+  }
+  std::reverse(route.ports.begin(), route.ports.end());
+  return route;
+}
+
+// Every ordered pair: the tree's route equals the reference search and
+// shortest_route. Returns the number of reachable ordered pairs.
+std::size_t expect_trees_match_reference(const Topology& t) {
+  std::size_t reachable = 0;
+  for (std::uint32_t a = 0; a < t.num_hosts(); ++a) {
+    const RouteTree tree = t.shortest_routes_from(HostId{a});
+    EXPECT_EQ(tree.source(), HostId{a});
+    for (std::uint32_t b = 0; b < t.num_hosts(); ++b) {
+      const auto want = reference_route(t, HostId{a}, HostId{b});
+      EXPECT_EQ(tree[HostId{b}], want) << a << "->" << b;
+      EXPECT_EQ(t.shortest_route(HostId{a}, HostId{b}), want)
+          << a << "->" << b;
+      if (want) ++reachable;
+    }
+    const auto past_end = static_cast<std::uint32_t>(t.num_hosts());
+    EXPECT_FALSE(tree[HostId{past_end}].has_value());
+    EXPECT_FALSE(tree[HostId{past_end + 1000}].has_value());
+  }
+  return reachable;
+}
+
+TEST(RouteTree, MatchesPerPairSearchOnFigure2) {
+  auto f = make_figure2_fabric(16);
+  EXPECT_EQ(expect_trees_match_reference(f.topo), 16u * 16u);
+}
+
+TEST(RouteTree, MatchesPerPairSearchOnClos64) {
+  auto f = make_clos_fabric({.k = 8, .num_hosts = 64});
+  EXPECT_EQ(expect_trees_match_reference(f.topo), 64u * 64u);
+}
+
+TEST(RouteTree, MatchesPerPairSearchOnDegradedClos64) {
+  auto f = make_clos_fabric({.k = 8, .num_hosts = 64});
+  const RouteTree healthy = f.topo.shortest_routes_from(f.hosts[0]);
+  // A core uplink of pod 0's first aggregation switch, and pod 1's second
+  // aggregation switch: every host stays reachable, some routes move.
+  auto uplink = f.topo.peer_of({Device::sw(f.aggs[0]), 4});
+  ASSERT_TRUE(uplink.has_value());
+  ASSERT_TRUE(uplink->peer.dev.is_switch());
+  f.topo.set_link_up(uplink->link, false);
+  f.topo.set_switch_up(f.aggs[5], false);
+  EXPECT_EQ(expect_trees_match_reference(f.topo), 64u * 64u);
+  const RouteTree degraded = f.topo.shortest_routes_from(f.hosts[0]);
+  std::size_t moved = 0;
+  for (const HostId h : f.hosts) moved += healthy[h] != degraded[h] ? 1 : 0;
+  EXPECT_GT(moved, 0u);
+
+  // An edge switch down cuts its hosts off: both searches agree on nullopt.
+  f.topo.set_switch_up(f.edges[3], false);
+  const std::size_t cut = 2;  // hosts 3 and 35 sit on edge 3
+  EXPECT_EQ(expect_trees_match_reference(f.topo),
+            (64u - cut) * (64u - cut) + cut);
+}
+
+TEST(RouteTree, UnknownSourceReachesOnlyItself) {
+  PairFixture f;
+  const RouteTree tree = f.topo.shortest_routes_from(HostId{7});
+  EXPECT_EQ(tree[HostId{7}], Route{});
+  EXPECT_FALSE(tree[f.h0].has_value());
+  EXPECT_FALSE(tree[f.h1].has_value());
 }
 
 TEST(ClosFabric, RejectsBadShapes) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/awaitables.hpp"
@@ -58,17 +59,32 @@ Process wait_on(Scheduler& s, Trigger& t, Time& woke) {
   woke = s.now();
 }
 
+using WakeLog = std::vector<std::pair<int, Time>>;
+
+Process wait_logged(Scheduler& s, Trigger& t, int id, WakeLog& log) {
+  co_await t.wait(s);
+  log.emplace_back(id, s.now());
+}
+
 TEST(Trigger, WakesAllWaiters) {
+  // The first waiter is held inline and the others in the overflow list;
+  // all of them resume at the fire, in the order they started waiting.
   Scheduler s;
   Trigger t;
-  Time w1 = kNever;
-  Time w2 = kNever;
-  wait_on(s, t, w1);
-  wait_on(s, t, w2);
+  WakeLog log;
+  for (int id = 0; id < 3; ++id) wait_logged(s, t, id, log);
   s.at(100, [&] { t.fire(s); });
   s.run();
-  EXPECT_EQ(w1, 100u);
-  EXPECT_EQ(w2, 100u);
+  EXPECT_EQ(log, (WakeLog{{0, 100}, {1, 100}, {2, 100}}));
+
+  // Re-armed: the fire emptied both the inline slot and the overflow list,
+  // so a second round fills them again and keeps the same order.
+  t.reset();
+  log.clear();
+  for (int id = 3; id < 6; ++id) wait_logged(s, t, id, log);
+  s.at(200, [&] { t.fire(s); });
+  s.run();
+  EXPECT_EQ(log, (WakeLog{{3, 200}, {4, 200}, {5, 200}}));
 }
 
 TEST(Trigger, LatchedFireWakesLateWaiters) {
