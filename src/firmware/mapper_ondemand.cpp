@@ -65,7 +65,10 @@ void OnDemandMapper::PathCache::put(HostId h, Route r,
   auto it = idx_.find(h);
   if (it != idx_.end()) {
     Entry& e = *it->second;
-    if (e.primary != r) e.backup.reset();  // backup was disjoint from the old
+    if (e.primary != r) {  // backups were disjoint from the old primary
+      e.backup.reset();
+      e.owed.reset();
+    }
     e.primary = std::move(r);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
@@ -75,7 +78,7 @@ void OnDemandMapper::PathCache::put(HostId h, Route r,
     lru_.pop_back();
     if (evictions != nullptr) ++*evictions;
   }
-  lru_.emplace_front(Entry{h, std::move(r), std::nullopt});
+  lru_.emplace_front(Entry{h, std::move(r), std::nullopt, std::nullopt});
   idx_[h] = lru_.begin();
 }
 
@@ -96,6 +99,18 @@ void OnDemandMapper::PathCache::set_backup(HostId h, net::AltRoute alt) {
   auto it = idx_.find(h);
   if (it == idx_.end()) return;
   it->second->backup = std::move(alt);
+}
+
+void OnDemandMapper::PathCache::owe_backup(HostId h, std::uint64_t gen) {
+  auto it = idx_.find(h);
+  if (it == idx_.end() || it->second->backup || it->second->owed) return;
+  it->second->owed = gen;
+}
+
+std::optional<std::uint64_t> OnDemandMapper::PathCache::take_owed(HostId h) {
+  auto it = idx_.find(h);
+  if (it == idx_.end()) return std::nullopt;
+  return std::exchange(it->second->owed, std::nullopt);
 }
 
 const std::optional<net::AltRoute>* OnDemandMapper::PathCache::backup(
@@ -254,7 +269,15 @@ void OnDemandMapper::flush_cache() {
 void OnDemandMapper::seed_cache(HostId dst, const Route& r) {
   if (cfg_.path_cache_capacity == 0) return;
   path_cache_.put(dst, r, &stats_.path_cache_evictions);
-  fill_backup(dst);
+  if (cfg_.proactive_backup && cfg_.radix_oracle != nullptr) {
+    path_cache_.owe_backup(dst, cfg_.radix_oracle->wiring_generation());
+  }
+}
+
+std::vector<HostId> OnDemandMapper::chaos_cached_hosts() {
+  std::vector<HostId> hosts = path_cache_.hosts();
+  for (const HostId h : hosts) settle_backup(h);
+  return hosts;
 }
 
 std::uint64_t OnDemandMapper::backup_salt(HostId dst) const {
@@ -263,8 +286,34 @@ std::uint64_t OnDemandMapper::backup_salt(HostId dst) const {
          (0xC2B2AE3D27D4EB4Full * (dst.v + 1));
 }
 
+void OnDemandMapper::install_backup(HostId dst, net::AltRoute alt) {
+  switch (alt.cls) {
+    case net::DisjointClass::kNodeDisjoint: ++stats_.backup_node_disjoint; break;
+    case net::DisjointClass::kLinkDisjoint: ++stats_.backup_link_disjoint; break;
+    case net::DisjointClass::kOverlapping: ++stats_.backup_overlapping; break;
+  }
+  ++stats_.backup_computed;
+  path_cache_.set_backup(dst, std::move(alt));
+}
+
+void OnDemandMapper::settle_backup(HostId dst) {
+  const std::optional<std::uint64_t> owed = path_cache_.take_owed(dst);
+  // A re-cabling since seeding voids the premise: the seeded primary may no
+  // longer lead to dst. The entry stays backup-less and a failure of it
+  // falls back to probing.
+  if (!owed || *owed != cfg_.radix_oracle->wiring_generation()) return;
+  // The wiring is the one the seed was made on, so the wiring view gives
+  // the backup an eager seed would have computed on the whole fabric,
+  // whatever has gone down since.
+  auto alt = cfg_.radix_oracle->disjoint_route(
+      nic_.self(), dst, *path_cache_.peek(dst), backup_salt(dst),
+      net::FabricView::kWiring);
+  if (alt) install_backup(dst, std::move(*alt));
+}
+
 void OnDemandMapper::fill_backup(HostId dst) {
   if (!cfg_.proactive_backup || cfg_.radix_oracle == nullptr) return;
+  settle_backup(dst);
   const Route* primary = path_cache_.peek(dst);
   if (primary == nullptr) return;
   const std::optional<net::AltRoute>* slot = path_cache_.peek_backup(dst);
@@ -274,18 +323,12 @@ void OnDemandMapper::fill_backup(HostId dst) {
   // Disjointness can be impossible (both hosts on one crossbar, or a chain
   // fabric with no way around): degrade gracefully to a backup-less entry —
   // failures for this destination fall back to probing.
-  if (!alt) return;
-  switch (alt->cls) {
-    case net::DisjointClass::kNodeDisjoint: ++stats_.backup_node_disjoint; break;
-    case net::DisjointClass::kLinkDisjoint: ++stats_.backup_link_disjoint; break;
-    case net::DisjointClass::kOverlapping: ++stats_.backup_overlapping; break;
-  }
-  ++stats_.backup_computed;
-  path_cache_.set_backup(dst, std::move(*alt));
+  if (alt) install_backup(dst, std::move(*alt));
 }
 
 bool OnDemandMapper::promote_backup(HostId dst) {
   if (!cfg_.proactive_backup || cfg_.radix_oracle == nullptr) return false;
+  settle_backup(dst);
   const std::optional<net::AltRoute>* slot = path_cache_.backup(dst);
   if (slot == nullptr || !slot->has_value()) return false;
   const Route backup = (*slot)->route;
@@ -337,19 +380,7 @@ sim::Process OnDemandMapper::replenish_backup(HostId dst, Route primary) {
                                                &replier);
   const Route* cur2 = path_cache_.peek(dst);
   if (ok && replier == dst && cur2 != nullptr && *cur2 == primary) {
-    switch (alt->cls) {
-      case net::DisjointClass::kNodeDisjoint:
-        ++stats_.backup_node_disjoint;
-        break;
-      case net::DisjointClass::kLinkDisjoint:
-        ++stats_.backup_link_disjoint;
-        break;
-      case net::DisjointClass::kOverlapping:
-        ++stats_.backup_overlapping;
-        break;
-    }
-    ++stats_.backup_computed;
-    path_cache_.set_backup(dst, std::move(*alt));
+    install_backup(dst, std::move(*alt));
   }
   replenishing_.erase(dst);
 }
@@ -676,25 +707,33 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
       // but the comparison probes are still sent and counted: Table 3's
       // "distinguishing new switches from old ones" traffic. Only
       // configured_identity waives them, and then the verdict is a lookup.
+      //
+      // The candidate's device is read under the wiring generation of the
+      // known devices it is compared with: a re-cabling while a comparison
+      // probe was out moves both, or a verdict would compare two wirings.
       std::optional<net::Device> cand_dev;
       std::uint64_t cand_gen = kStaleMemo;
-      if (oracle != nullptr) {
-        cand_gen = oracle->wiring_generation();
+      auto sync_candidate = [&] {
+        sync_identity();
+        if (oracle == nullptr || cand_gen == memo_gen) return;
+        cand_gen = memo_gen;
         cand_dev = oracle->device_after(nic_.self(), nf);
-      }
-      const bool cand_is_switch = cand_dev.has_value() && cand_dev->is_switch();
+      };
+      auto cand_is_switch = [&] {
+        return cand_dev.has_value() && cand_dev->is_switch();
+      };
       std::size_t dup = kNone;  // index into `known` of the switch behind sp
       if (identity_db) {
         if (over_budget()) co_return budget_fail();
-        sync_identity();
-        if (cand_is_switch && cand_dev->index < first_known.size()) {
+        sync_candidate();
+        if (cand_is_switch() && cand_dev->index < first_known.size()) {
           dup = first_known[cand_dev->index];
         }
       } else {
         for (std::size_t j = 0; j < known.size(); ++j) {
           if (over_budget()) co_return budget_fail();
-          sync_identity();
-          const bool same_dev = cand_is_switch && known[j].dev == cand_dev;
+          sync_candidate();
+          const bool same_dev = cand_is_switch() && known[j].dev == cand_dev;
           Route vr = nf;
           const auto& home = known[j].reverse.ports;
           vr.ports.append(home.begin(), home.end());
@@ -736,14 +775,11 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
           ns.radix = guess_bound;
           ns.reverse.ports.push_back(y);
           ns.reverse.ports.append(sw_reverse.begin(), sw_reverse.end());
+          // Same wiring generation as every known device (memo_gen); a
+          // re-cabling during the bounce probes is caught by the next sync.
           ns.dev = cand_dev;
           known.push_back(std::move(ns));
-          // cand_dev is only as fresh as the wiring it was derived from.
-          if (cand_gen == memo_gen) {
-            index_identity(known.size() - 1);
-          } else {
-            memo_gen = kStaleMemo;
-          }
+          index_identity(known.size() - 1);
           next.push_back(known.size() - 1);
           break;
         }

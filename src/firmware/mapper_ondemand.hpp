@@ -101,8 +101,10 @@ struct OnDemandMapperConfig {
   /// radix_oracle topology (a backup sharing the dead element is rejected
   /// and the mapping falls back to probing). The emptied backup slot is
   /// replenished lazily in the background, verified by a single host probe.
+  /// A seeded entry (seed_cache) computes its backup on first need instead.
   /// Requires radix_oracle (same operator-knowledge assumption as
-  /// configured_identity); ignored without it.
+  /// configured_identity); ignored without it. Off by default, the paper's
+  /// probe-on-failure configuration; kv::KvRigConfig turns it on.
   bool proactive_backup = false;
 };
 
@@ -130,7 +132,8 @@ struct OnDemandMapperStats {
   /// Equal-cost candidate routes considered by multipath selection (summed).
   std::uint64_t multipath_candidates = 0;
   /// Proactive backup paths (docs/ROUTING.md, `mapper.backup_*` metrics).
-  std::uint64_t backup_computed = 0;      // backup slots filled (any source)
+  std::uint64_t backup_computed = 0;      // backup slots filled (any source;
+                                          // a seeded one at its first read)
   std::uint64_t backup_promotions = 0;    // failures served by promote, 0 probes
   std::uint64_t backup_stale_rejections = 0;  // backup dead at promote time
   std::uint64_t backup_replenish_probes = 0;  // verification probes, replenish
@@ -173,17 +176,23 @@ class OnDemandMapper final : public MapperIface {
   void flush_cache();
 
   /// Preinstall a known-good route (an operator-configured static map) into
-  /// the path cache, computing its proactive backup when enabled. Rigs that
-  /// preload full route tables use this so the *first* failure can promote
-  /// instead of paying a cold probe storm.
+  /// the path cache. Rigs that preload full route tables use this so the
+  /// *first* failure can promote instead of paying a cold probe storm. With
+  /// proactive backups on, the entry's backup is owed, not computed: it is
+  /// derived from the wiring (up/down state ignored) when the slot is first
+  /// read — by a promotion, cached_backup or a chaos accessor — unless the
+  /// wiring was re-cabled since, in which case the entry keeps no backup.
+  /// Most seeded destinations never fail, so most backups are never paid.
   void seed_cache(net::HostId dst, const net::Route& r);
 
-  /// Test introspection: non-touching peek at the cached primary / backup.
+  /// Test introspection: non-touching peek at the cached primary / backup
+  /// (the backup peek computes an owed seeded backup first).
   [[nodiscard]] const net::Route* cached_route(net::HostId dst) const {
     return path_cache_.peek(dst);
   }
   [[nodiscard]] const std::optional<net::AltRoute>* cached_backup(
-      net::HostId dst) const {
+      net::HostId dst) {
+    settle_backup(dst);
     return path_cache_.peek_backup(dst);
   }
 
@@ -192,15 +201,17 @@ class OnDemandMapper final : public MapperIface {
   // (docs/CHAOS.md "State corruption"): mutable access to *existing* cache
   // entries, never creating any. Recency order is untouched. Every mutation
   // made through these is logged in the chaos event log by the corruptor.
+  // Owed seeded backups are computed before access is handed out, so a
+  // corruption meets the slots an eager seed would have filled.
   /// Cached destinations in deterministic recency order (MRU first).
-  [[nodiscard]] std::vector<net::HostId> chaos_cached_hosts() const {
-    return path_cache_.hosts();
-  }
+  [[nodiscard]] std::vector<net::HostId> chaos_cached_hosts();
   [[nodiscard]] net::Route* chaos_cached_route(net::HostId dst) {
+    settle_backup(dst);
     return path_cache_.primary_mut(dst);
   }
   [[nodiscard]] std::optional<net::AltRoute>* chaos_cached_backup(
       net::HostId dst) {
+    settle_backup(dst);
     return path_cache_.backup_mut(dst);
   }
 
@@ -229,7 +240,7 @@ class OnDemandMapper final : public MapperIface {
     /// Touches the entry (most-recently-used) and returns it, or nullptr.
     const net::Route* get(net::HostId h);
     /// Installs/overwrites the primary; a changed primary drops the backup
-    /// (it was computed to be disjoint from the old one).
+    /// and an owed one (each is disjoint from the old primary).
     void put(net::HostId h, net::Route r, std::uint64_t* evictions);
     bool erase(net::HostId h);
     [[nodiscard]] bool contains(net::HostId h) const {
@@ -239,6 +250,11 @@ class OnDemandMapper final : public MapperIface {
 
     /// Backup slot of an existing entry (no-ops / nullptr when h is absent).
     void set_backup(net::HostId h, net::AltRoute alt);
+    /// Mark an entry without a backup as owing one, to be computed at wiring
+    /// generation `gen`; an earlier mark stands.
+    void owe_backup(net::HostId h, std::uint64_t gen);
+    /// Clear and return the owed mark (nullopt when absent or not owed).
+    std::optional<std::uint64_t> take_owed(net::HostId h);
     [[nodiscard]] const std::optional<net::AltRoute>* backup(net::HostId h) const;
     /// Backup -> primary in place; the backup slot empties. False if absent.
     bool promote(net::HostId h);
@@ -259,6 +275,8 @@ class OnDemandMapper final : public MapperIface {
       net::HostId host;
       net::Route primary;
       std::optional<net::AltRoute> backup;
+      /// Wiring generation at which a seeded backup is owed.
+      std::optional<std::uint64_t> owed;
     };
     std::size_t cap_;
     std::list<Entry> lru_;  // front = most recently used
@@ -304,6 +322,10 @@ class OnDemandMapper final : public MapperIface {
   [[nodiscard]] std::uint64_t backup_salt(net::HostId dst) const;
   /// Compute + install the backup slot for a just-installed primary.
   void fill_backup(net::HostId dst);
+  /// Compute an owed seeded backup, if dst's entry owes one.
+  void settle_backup(net::HostId dst);
+  /// Count the disjointness class and fill dst's backup slot.
+  void install_backup(net::HostId dst, net::AltRoute alt);
   /// Validate (trace_route_up) + promote the backup; true on success.
   bool promote_backup(net::HostId dst);
   /// Background: recompute a backup disjoint from the *new* primary, verify

@@ -139,6 +139,53 @@ inline BuiltTopology build_cluster_topology(const ClusterConfig& cfg) {
   return b;
 }
 
+/// The firmware side of every host of a rig, in host order: reliable or raw
+/// firmware plus the configured mapper. Cluster and ParallelCluster both
+/// build through it, so both engines run identical stacks for one config.
+struct FirmwareStacks {
+  /// Build host `i`'s firmware on `nic`. With cfg.preload_routes one BFS
+  /// tree from the host feeds its route table and, with proactive backups
+  /// on, its on-demand mapper's path cache.
+  void add(const ClusterConfig& cfg, const net::Topology& topo,
+           const std::vector<net::HostId>& hosts, std::size_t i,
+           nic::Nic& nic) {
+    std::optional<net::RouteTree> preload;
+    if (cfg.preload_routes) preload = topo.shortest_routes_from(hosts[i]);
+    if (cfg.fw == FirmwareKind::kRaw) {
+      raw.push_back(std::make_unique<firmware::RawFirmware>(nic));
+      if (preload) raw.back()->routes().populate_all(*preload);
+      return;
+    }
+    rel.push_back(std::make_unique<firmware::ReliableFirmware>(nic, cfg.rel));
+    if (preload) rel.back()->routes().populate_all(*preload);
+    if (cfg.mapper == MapperKind::kOnDemand) {
+      auto od = cfg.ondemand;
+      if (od.radix_oracle == nullptr) od.radix_oracle = &topo;
+      mappers.push_back(std::make_unique<firmware::OnDemandMapper>(nic, od));
+      rel.back()->set_mapper(mappers.back().get());
+      // Preloaded rigs never probe before the first failure, so the
+      // mapper's cache would be cold and the first on_path_failure would
+      // find no backup to promote. Seed the cache (its backups are owed)
+      // from the same routes the table was preloaded with.
+      if (preload && od.proactive_backup) {
+        for (const net::HostId other : hosts) {
+          if (other == hosts[i]) continue;
+          if (auto r = (*preload)[other]) mappers.back()->seed_cache(other, *r);
+        }
+      }
+    } else if (cfg.mapper == MapperKind::kFull) {
+      full_mappers.push_back(
+          std::make_unique<firmware::FullMapper>(nic, topo, cfg.full));
+      rel.back()->set_mapper(full_mappers.back().get());
+    }
+  }
+
+  std::vector<std::unique_ptr<firmware::ReliableFirmware>> rel;
+  std::vector<std::unique_ptr<firmware::RawFirmware>> raw;
+  std::vector<std::unique_ptr<firmware::OnDemandMapper>> mappers;
+  std::vector<std::unique_ptr<firmware::FullMapper>> full_mappers;
+};
+
 class Cluster {
  public:
   explicit Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
@@ -148,41 +195,7 @@ class Cluster {
     for (std::size_t i = 0; i < hosts.size(); ++i) {
       nics_.push_back(
           std::make_unique<nic::Nic>(sched, *fabric_, hosts[i], cfg_.nic));
-      // One BFS tree per host feeds both the route table and the mapper's
-      // seeded cache.
-      std::optional<net::RouteTree> preload;
-      if (cfg_.preload_routes) preload = topo.shortest_routes_from(hosts[i]);
-      if (cfg_.fw == FirmwareKind::kReliable) {
-        rel_.push_back(
-            std::make_unique<firmware::ReliableFirmware>(*nics_.back(), cfg_.rel));
-        if (preload) rel_.back()->routes().populate_all(*preload);
-        if (cfg_.mapper == MapperKind::kOnDemand) {
-          auto od = cfg_.ondemand;
-          if (od.radix_oracle == nullptr) od.radix_oracle = &topo;
-          mappers_.push_back(std::make_unique<firmware::OnDemandMapper>(
-              *nics_.back(), od));
-          rel_.back()->set_mapper(mappers_.back().get());
-          // Preloaded rigs never probe before the first failure, so the
-          // mapper's cache would be cold and the first on_path_failure would
-          // find no backup to promote. Seed the cache (and its proactive
-          // backups) from the same routes the tables were preloaded with.
-          if (preload && od.proactive_backup) {
-            for (const net::HostId other : hosts) {
-              if (other == hosts[i]) continue;
-              if (auto r = (*preload)[other]) {
-                mappers_.back()->seed_cache(other, *r);
-              }
-            }
-          }
-        } else if (cfg_.mapper == MapperKind::kFull) {
-          full_mappers_.push_back(std::make_unique<firmware::FullMapper>(
-              *nics_.back(), topo, cfg_.full));
-          rel_.back()->set_mapper(full_mappers_.back().get());
-        }
-      } else {
-        raw_.push_back(std::make_unique<firmware::RawFirmware>(*nics_.back()));
-        if (preload) raw_.back()->routes().populate_all(*preload);
-      }
+      fw_.add(cfg_, topo, hosts, i, *nics_.back());
       inboxes_[i] = std::make_unique<sim::Channel<HostMsg>>();
       nics_[i]->set_host_rx(
           [this, i](net::UserHeader u, net::PayloadRef p, net::HostId src) {
@@ -200,23 +213,23 @@ class Cluster {
   }
   [[nodiscard]] firmware::ReliableFirmware& rel(std::size_t i) {
     assert(cfg_.fw == FirmwareKind::kReliable);
-    return *rel_.at(i);
+    return *fw_.rel.at(i);
   }
   [[nodiscard]] firmware::RawFirmware& raw(std::size_t i) {
     assert(cfg_.fw == FirmwareKind::kRaw);
-    return *raw_.at(i);
+    return *fw_.raw.at(i);
   }
   [[nodiscard]] firmware::RouteTable& routes(std::size_t i) {
-    return cfg_.fw == FirmwareKind::kReliable ? rel_.at(i)->routes()
-                                              : raw_.at(i)->routes();
+    return cfg_.fw == FirmwareKind::kReliable ? fw_.rel.at(i)->routes()
+                                              : fw_.raw.at(i)->routes();
   }
   [[nodiscard]] firmware::OnDemandMapper& mapper(std::size_t i) {
     assert(cfg_.mapper == MapperKind::kOnDemand);
-    return *mappers_.at(i);
+    return *fw_.mappers.at(i);
   }
   [[nodiscard]] firmware::FullMapper& full_mapper(std::size_t i) {
     assert(cfg_.mapper == MapperKind::kFull);
-    return *full_mappers_.at(i);
+    return *fw_.full_mappers.at(i);
   }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
 
@@ -257,10 +270,7 @@ class Cluster {
   ClusterConfig cfg_;
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<nic::Nic>> nics_;
-  std::vector<std::unique_ptr<firmware::ReliableFirmware>> rel_;
-  std::vector<std::unique_ptr<firmware::RawFirmware>> raw_;
-  std::vector<std::unique_ptr<firmware::OnDemandMapper>> mappers_;
-  std::vector<std::unique_ptr<firmware::FullMapper>> full_mappers_;
+  FirmwareStacks fw_;
   std::vector<std::unique_ptr<sim::Channel<HostMsg>>> inboxes_;
 };
 

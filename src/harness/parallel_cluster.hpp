@@ -121,35 +121,7 @@ class ParallelCluster {
       const std::uint32_t p = part.host_owner[i];
       nics_.push_back(std::make_unique<nic::Nic>(
           engine->local(p), *shards_[p], hosts[i], cc.nic));
-      std::optional<net::RouteTree> preload;
-      if (cc.preload_routes) preload = topo.shortest_routes_from(hosts[i]);
-      if (cc.fw == FirmwareKind::kReliable) {
-        rel_.push_back(std::make_unique<firmware::ReliableFirmware>(
-            *nics_.back(), cc.rel));
-        if (preload) rel_.back()->routes().populate_all(*preload);
-        if (cc.mapper == MapperKind::kOnDemand) {
-          auto od = cc.ondemand;
-          if (od.radix_oracle == nullptr) od.radix_oracle = &topo;
-          mappers_.push_back(
-              std::make_unique<firmware::OnDemandMapper>(*nics_.back(), od));
-          rel_.back()->set_mapper(mappers_.back().get());
-          if (preload && od.proactive_backup) {
-            for (const net::HostId other : hosts) {
-              if (other == hosts[i]) continue;
-              if (auto r = (*preload)[other]) {
-                mappers_.back()->seed_cache(other, *r);
-              }
-            }
-          }
-        } else if (cc.mapper == MapperKind::kFull) {
-          full_mappers_.push_back(std::make_unique<firmware::FullMapper>(
-              *nics_.back(), topo, cc.full));
-          rel_.back()->set_mapper(full_mappers_.back().get());
-        }
-      } else {
-        raw_.push_back(std::make_unique<firmware::RawFirmware>(*nics_.back()));
-        if (preload) raw_.back()->routes().populate_all(*preload);
-      }
+      fw_.add(cc, topo, hosts, i, *nics_.back());
       inboxes_[i] = std::make_unique<sim::Channel<HostMsg>>();
       nics_[i]->set_host_rx(
           [this, i](net::UserHeader u, net::PayloadRef pl, net::HostId src) {
@@ -176,7 +148,7 @@ class ParallelCluster {
   }
   [[nodiscard]] firmware::ReliableFirmware& rel(std::size_t i) {
     assert(cfg_.cluster.fw == FirmwareKind::kReliable);
-    return *rel_.at(i);
+    return *fw_.rel.at(i);
   }
   [[nodiscard]] const ParallelClusterConfig& config() const { return cfg_; }
 
@@ -254,10 +226,7 @@ class ParallelCluster {
   std::vector<net::Fabric*> shard_ptrs_;
   std::unique_ptr<ShardedFaultInjector> injector_;
   std::vector<std::unique_ptr<nic::Nic>> nics_;
-  std::vector<std::unique_ptr<firmware::ReliableFirmware>> rel_;
-  std::vector<std::unique_ptr<firmware::RawFirmware>> raw_;
-  std::vector<std::unique_ptr<firmware::OnDemandMapper>> mappers_;
-  std::vector<std::unique_ptr<firmware::FullMapper>> full_mappers_;
+  FirmwareStacks fw_;
   std::vector<std::unique_ptr<sim::Channel<HostMsg>>> inboxes_;
 };
 

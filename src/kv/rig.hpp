@@ -39,7 +39,15 @@ struct KvRigConfig {
   std::size_t ring_per_peer = 64 * 1024;
   KvServerConfig server;
   /// Cluster knobs; num_hosts is overwritten with servers + client hosts.
-  harness::ClusterConfig cluster;
+  /// Unlike a bare harness::ClusterConfig, the service fails over by
+  /// promotion: with the on-demand mapper, every seeded route carries a
+  /// proactive backup (docs/ROUTING.md). Re-probing each failed path put
+  /// ~139 ms of remap wait into the mean GET of perfbench's link kill.
+  harness::ClusterConfig cluster = [] {
+    harness::ClusterConfig c;
+    c.ondemand.proactive_backup = true;
+    return c;
+  }();
 
   /// Run a SWIM membership agent on every host (src/membership), gossiping
   /// over the same message endpoints the KV protocol uses. A host's agent

@@ -104,7 +104,8 @@ std::optional<Route> RouteTree::operator[](HostId to) const {
 RouteTree Topology::search(HostId from, std::optional<HostId> goal,
                            const std::vector<char>& link_banned,
                            const std::vector<char>& switch_banned,
-                           std::optional<std::uint64_t> salt) const {
+                           std::optional<std::uint64_t> salt,
+                           FabricView view) const {
   RouteTree tree;
   tree.from_ = from;
   tree.num_hosts_ = hosts_.size();
@@ -113,11 +114,16 @@ RouteTree Topology::search(HostId from, std::optional<HostId> goal,
   auto dense = [num_hosts](Device d) {
     return d.is_host() ? d.index : num_hosts + d.index;
   };
+  // A disconnected link has left its ports, so the wiring view never meets
+  // one: peer_of does not return it.
+  const bool wiring = view == FabricView::kWiring;
   auto link_ok = [&](LinkId l) {
-    return link_up(l) && !(l.v < link_banned.size() && link_banned[l.v]);
+    return (wiring || link_up(l)) &&
+           !(l.v < link_banned.size() && link_banned[l.v]);
   };
   auto switch_ok = [&](SwitchId s) {
-    return switch_up(s) && !(s.v < switch_banned.size() && switch_banned[s.v]);
+    return (wiring || switch_up(s)) &&
+           !(s.v < switch_banned.size() && switch_banned[s.v]);
   };
 
   std::vector<RouteTree::Crumb>& crumbs = tree.crumbs_;
@@ -236,7 +242,8 @@ std::optional<Device> Topology::trace_route_up(HostId from,
 
 std::optional<AltRoute> Topology::disjoint_route(HostId from, HostId to,
                                                  const Route& primary,
-                                                 std::uint64_t salt) const {
+                                                 std::uint64_t salt,
+                                                 FabricView view) const {
   // Walk the primary (ignoring up/down: it may have just failed) collecting
   // every link and switch it traverses, in path order.
   auto att = peer_of(Port{Device::host(from), 0});
@@ -282,7 +289,7 @@ std::optional<AltRoute> Topology::disjoint_route(HostId from, HostId to,
     std::vector<char> sb(switches_.size(), 0);
     for (const LinkId l : ban_links) lb[l.v] = 1;
     for (const SwitchId s : ban_switches) sb[s.v] = 1;
-    auto r = search(from, to, lb, sb, salt)[to];
+    auto r = search(from, to, lb, sb, salt, view)[to];
     if (r && *r == primary) r.reset();  // replaying the primary is no backup
     return r;
   };

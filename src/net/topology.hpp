@@ -34,6 +34,10 @@ enum class DisjointClass : std::uint8_t {
   kOverlapping,   // avoids at least one primary link, shares others
 };
 
+/// Which fabric a route search walks: the links and switches that are up
+/// right now, or the wiring as cabled, whatever is up or down.
+enum class FabricView : std::uint8_t { kUp, kWiring };
+
 /// An alternate route plus the disjointness class it achieved.
 struct AltRoute {
   Route route;
@@ -166,9 +170,11 @@ class Topology {
   /// permutation, so the pick is deterministic but spread across sources
   /// (the multipath trick). nullopt when the primary walk fails or every
   /// alternate would replay the primary exactly (e.g. both hosts on one
-  /// crossbar).
+  /// crossbar). The search walks `view`: the currently up fabric, or the
+  /// wiring alone (on a whole fabric both give the same route).
   [[nodiscard]] std::optional<AltRoute> disjoint_route(
-      HostId from, HostId to, const Route& primary, std::uint64_t salt) const;
+      HostId from, HostId to, const Route& primary, std::uint64_t salt,
+      FabricView view = FabricView::kUp) const;
 
  private:
   struct HostRec {
@@ -189,14 +195,16 @@ class Topology {
   std::optional<LinkId>& port_slot(Port p);
   [[nodiscard]] const std::optional<LinkId>* port_slot_const(Port p) const;
   /// The one BFS behind every route helper: hosts other than `from` do not
-  /// forward, banned (or down) links and switches are skipped, and switch
+  /// forward, banned links and switches are skipped (so are down ones under
+  /// FabricView::kUp), and switch
   /// ports are expanded in port order or, with a salt, in a salt-seeded
   /// per-switch permutation (disjoint_route's tie-breaker). Stops early
   /// once `goal` is reached.
   [[nodiscard]] RouteTree search(HostId from, std::optional<HostId> goal,
                                  const std::vector<char>& link_banned,
                                  const std::vector<char>& switch_banned,
-                                 std::optional<std::uint64_t> salt) const;
+                                 std::optional<std::uint64_t> salt,
+                                 FabricView view = FabricView::kUp) const;
 
   std::vector<HostRec> hosts_;
   std::vector<SwitchRec> switches_;

@@ -309,6 +309,63 @@ TEST(KvService, LinkKillMidWorkloadLosesNothing) {
   EXPECT_EQ(audit.alien_values, 0u);
 }
 
+// The service's default failover: a KvRig left at its defaults (on-demand
+// mapper aside) carries proactive backups, so each path the kill breaks is
+// answered by promoting its backup — no probing, no call that gives up.
+TEST(KvService, DefaultRigFailsOverByPromotion) {
+  kv::KvRigConfig rc;
+  rc.num_servers = 4;
+  rc.num_client_hosts = 2;
+  rc.cluster.topo = harness::TopoKind::kFigure2;
+  rc.cluster.mapper = harness::MapperKind::kOnDemand;
+  rc.cluster.rel.fail_threshold = sim::milliseconds(10);
+  rc.cluster.rel.fail_min_rounds = 8;
+  kv::KvRig rig(rc);
+  ASSERT_TRUE(rig.config().cluster.ondemand.proactive_backup);
+
+  traffic::TrafficConfig tc;
+  tc.num_clients = 50;
+  tc.total_requests = 1500;
+  tc.rate_rps = 50000;
+  tc.get_ratio = 0.3;
+  tc.seed = 11;
+  traffic::TrafficEngine engine(rig.c.sched, rig.client_view(), tc);
+  engine.start();
+
+  rig.c.sched.after(sim::milliseconds(10), [&rig] {
+    rig.c.topo.set_link_up(net::LinkId{0}, false);
+  });
+
+  const sim::Time cap = sim::seconds(300);
+  while (!engine.done() && rig.c.sched.now() < cap && rig.c.sched.step()) {
+  }
+  ASSERT_TRUE(engine.done()) << "workload did not complete";
+  rig.quiesce();
+
+  std::uint64_t path_failures = 0;
+  std::uint64_t promotions = 0;
+  std::uint64_t stale = 0;
+  for (std::size_t i = 0; i < rig.c.size(); ++i) {
+    path_failures += rig.c.rel(i).stats().path_failures;
+    promotions += rig.c.mapper(i).stats().backup_promotions;
+    stale += rig.c.mapper(i).stats().backup_stale_rejections;
+  }
+  EXPECT_GT(path_failures, 0u) << "the kill never bit a used route";
+  EXPECT_EQ(promotions, path_failures);
+  EXPECT_EQ(stale, 0u);
+
+  const traffic::TrafficStats& ts = engine.stats();
+  EXPECT_EQ(ts.completed, tc.total_requests);
+  EXPECT_EQ(ts.ok, ts.completed);
+  EXPECT_EQ(ts.failed, 0u);
+  const auto audit = kv::audit(*rig.map, rig.server_view(), engine.shadow());
+  EXPECT_GT(audit.committed, 0u);
+  EXPECT_EQ(audit.lost, 0u);
+  EXPECT_EQ(audit.duplicated, 0u);
+  EXPECT_EQ(audit.replica_mismatches, 0u);
+  EXPECT_EQ(audit.alien_values, 0u);
+}
+
 // --- erasure-coded striped object class ------------------------------------
 
 kv::KvRigConfig striped_rig_config() {

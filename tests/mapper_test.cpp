@@ -497,6 +497,43 @@ TEST(OnDemandMapper, RelabelingSwitchesMidMappingLeavesConfiguredSearchAlone) {
   }
 }
 
+TEST(OnDemandMapper, RelabelingSwitchesMidMappingLeavesOracleVerdictsAlone) {
+  // Oracle verdicts (configured_identity off): the comparison probes are
+  // sent, and each verdict is read from the topology. The two spine
+  // switches of one core group trade every cable, port for port: a pure
+  // relabeling, so a search disturbed at any point must send the probes,
+  // and find the route, of an undisturbed one. When the wiring moves while
+  // a comparison probe is out, the candidate's device must be derived again
+  // with the known ones. Kept from the old wiring, it is misjudged a
+  // duplicate when its swap partner is already known, and once discovered
+  // it makes a later candidate holding that device look like a duplicate.
+  auto cfg = ondemand_cfg(16, TopoKind::kClos);
+  cfg.clos.k = 4;
+  std::optional<net::Route> want;
+  firmware::OnDemandMapperStats want_stats;
+  {
+    Cluster c(cfg);
+    want = map_now(c, 0, 2);
+    want_stats = c.mapper(0).stats();
+  }
+  ASSERT_TRUE(want.has_value());
+  const std::uint64_t total =
+      want_stats.host_probes_tx + want_stats.switch_probes_tx;
+  for (std::uint64_t after = 0; after < total; ++after) {
+    SCOPED_TRACE(::testing::Message() << "rewired after " << after);
+    Cluster c(cfg);
+    const RewiredMapping m = map_with_rewire(c, 0, 2, after, [&] {
+      for (std::uint8_t pod = 0; pod < 4; ++pod) {
+        swap_cables(c.topo, switch_port(c, 0, pod), switch_port(c, 1, pod));
+      }
+    });
+    ASSERT_TRUE(m.rewired_in_flight);
+    EXPECT_EQ(m.route, want);
+    EXPECT_EQ(m.stats.host_probes_tx, want_stats.host_probes_tx);
+    EXPECT_EQ(m.stats.switch_probes_tx, want_stats.switch_probes_tx);
+  }
+}
+
 TEST(OnDemandMapper, PathCacheHitsInvalidationAndLruEviction) {
   auto cfg = ondemand_cfg(8, TopoKind::kFigure2);
   cfg.ondemand.path_cache_capacity = 2;
@@ -707,6 +744,164 @@ TEST(ProactiveBackup, PeerDeathNeverPromotes) {
   EXPECT_EQ(st.backup_promotions, 0u);
   EXPECT_EQ(c.mapper(0).cached_route(c.hosts[3]), nullptr);
   EXPECT_EQ(c.mapper(0).cached_backup(c.hosts[3]), nullptr);
+}
+
+// --- seeded backups, computed on first need ---------------------------------
+
+/// How a seeded entry's backup slot is first read.
+enum class FirstRead { kIntrospection, kChaosHosts, kChaosRoute, kChaosBackup };
+
+/// Read host src's backup to host dst, the first read of the slot going
+/// through `how`. kChaosHosts reads every slot of src at once.
+std::optional<net::AltRoute> first_read(Cluster& c, std::size_t src,
+                                        std::size_t dst, FirstRead how) {
+  firmware::OnDemandMapper& m = c.mapper(src);
+  const std::optional<net::AltRoute>* slot = nullptr;
+  switch (how) {
+    case FirstRead::kIntrospection:
+      break;
+    case FirstRead::kChaosHosts:
+      (void)m.chaos_cached_hosts();
+      break;
+    case FirstRead::kChaosRoute:
+      EXPECT_NE(m.chaos_cached_route(c.hosts[dst]), nullptr);
+      break;
+    case FirstRead::kChaosBackup:
+      slot = m.chaos_cached_backup(c.hosts[dst]);
+      break;
+  }
+  if (slot == nullptr) {
+    // After a chaos accessor the owed backup is computed already: reading
+    // the slot now computes nothing.
+    const std::uint64_t computed = m.stats().backup_computed;
+    slot = m.cached_backup(c.hosts[dst]);
+    if (how != FirstRead::kIntrospection) {
+      EXPECT_EQ(m.stats().backup_computed, computed);
+    }
+  }
+  EXPECT_NE(slot, nullptr);
+  return slot == nullptr ? std::nullopt : *slot;
+}
+
+/// Every ordered pair's backup, read while the fabric is whole: what an
+/// eager seed computes, since on a whole fabric the wiring view and the up
+/// view agree (Topology.DisjointRouteWiringViewIgnoresUpDownState).
+std::vector<std::optional<net::AltRoute>> eager_backups(
+    const ClusterConfig& cfg) {
+  Cluster c(cfg);
+  std::vector<std::optional<net::AltRoute>> out;
+  for (std::size_t src = 0; src < c.size(); ++src) {
+    for (std::size_t dst = 0; dst < c.size(); ++dst) {
+      if (src != dst) out.push_back(*c.mapper(src).cached_backup(c.hosts[dst]));
+    }
+  }
+  return out;
+}
+
+TEST(ProactiveBackup, FirstNeedEqualsEagerSeedAfterFaults) {
+  // Seeding owes every backup and computes none. Whatever goes down before
+  // a slot is first read, and whichever accessor reads it first, the read
+  // must give exactly the backup an eager seed computed on the whole fabric.
+  struct Fabric {
+    const char* name;
+    ClusterConfig cfg;
+    std::vector<std::uint32_t> links_down;
+    std::vector<std::size_t> switches_down;  // indices into Cluster::switches
+  };
+  Fabric fabrics[] = {
+      // A trunk of each redundant pair, then the second 16-port crossbar.
+      {"figure2", proactive_cfg(8, TopoKind::kFigure2), {0, 2, 4}, {2}},
+      // Edge and core links, a spine switch and an aggregation switch.
+      {"clos-64", proactive_cfg(64, TopoKind::kClos), {0, 5, 40, 97}, {0, 16}},
+  };
+  for (Fabric& f : fabrics) {
+    SCOPED_TRACE(f.name);
+    const auto want = eager_backups(f.cfg);
+    Cluster c(f.cfg);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      EXPECT_EQ(c.mapper(i).stats().backup_computed, 0u);
+    }
+    for (const std::uint32_t l : f.links_down) {
+      c.topo.set_link_up(net::LinkId{l}, false);
+    }
+    for (const std::size_t s : f.switches_down) {
+      c.topo.set_switch_up(c.switches[s], false);
+    }
+    std::size_t k = 0;
+    std::size_t with_backup = 0;
+    for (std::size_t src = 0; src < c.size(); ++src) {
+      const auto how = static_cast<FirstRead>(src % 4);
+      for (std::size_t dst = 0; dst < c.size(); ++dst) {
+        if (src == dst) continue;
+        SCOPED_TRACE(::testing::Message() << src << "->" << dst << " read "
+                                          << static_cast<int>(how));
+        const auto got = first_read(c, src, dst, how);
+        const auto& exp = want[k++];
+        ASSERT_EQ(got.has_value(), exp.has_value());
+        if (!exp) continue;
+        ++with_backup;
+        EXPECT_EQ(got->route, exp->route);
+        EXPECT_EQ(got->cls, exp->cls);
+      }
+    }
+    EXPECT_GT(with_backup, want.size() / 2);
+  }
+}
+
+TEST(ProactiveBackup, RecablingVoidsOwedBackups) {
+  // Hosts 3 (on sw8_b) and 5 (on sw16_a) trade access cables after seeding.
+  // A backup computed before the move may now lead to the wrong host, and
+  // promotion's trace_route_up check rejects it; an owed backup is never
+  // computed on the moved wiring at all. Either way nothing is promoted
+  // that does not reach its destination, and the failover probes instead.
+  // Only a re-seed with a changed primary owes a backup on the new wiring.
+  Cluster c(proactive_cfg(8, TopoKind::kFigure2));
+  const auto* early = c.mapper(0).cached_backup(c.hosts[3]);
+  ASSERT_NE(early, nullptr);
+  ASSERT_TRUE(early->has_value());  // computed on the old wiring
+  const net::Route* seeded = c.mapper(0).cached_route(c.hosts[2]);
+  ASSERT_NE(seeded, nullptr);
+  const auto other = c.topo.disjoint_route(c.hosts[0], c.hosts[2], *seeded, 1);
+  ASSERT_TRUE(other.has_value());
+  swap_cables(c.topo, {net::Device::host(c.hosts[3]), 0},
+              {net::Device::host(c.hosts[5]), 0});
+  c.mapper(0).seed_cache(c.hosts[2], other->route);
+
+  std::uint64_t promotions = 0;
+  std::uint64_t stale = 0;
+  for (std::size_t src = 0; src < c.size(); ++src) {
+    firmware::OnDemandMapper& m = c.mapper(src);
+    for (std::size_t dst = 0; dst < c.size(); ++dst) {
+      if (src == dst) continue;
+      SCOPED_TRACE(::testing::Message() << src << "->" << dst);
+      const auto* slot = m.cached_backup(c.hosts[dst]);
+      ASSERT_NE(slot, nullptr);
+      if (src == 0 && dst == 2) {
+        ASSERT_TRUE(slot->has_value());
+        EXPECT_NE((*slot)->route, other->route);
+      } else if (src != 0 || dst != 3) {
+        EXPECT_FALSE(slot->has_value());
+      }
+      if (m.on_path_failure(c.hosts[dst])) {
+        const net::Route* r = m.cached_route(c.hosts[dst]);
+        ASSERT_NE(r, nullptr);
+        const auto end = c.topo.trace_route_up(c.hosts[src], *r);
+        ASSERT_TRUE(end.has_value());
+        EXPECT_EQ(*end, net::Device::host(c.hosts[dst]));
+      }
+    }
+    promotions += m.stats().backup_promotions;
+    stale += m.stats().backup_stale_rejections;
+  }
+  EXPECT_EQ(promotions, 1u);  // the re-seeded 0->2
+  EXPECT_EQ(stale, 1u);       // the early read: its backup now ends at host 5
+
+  // Probing finds host 3 where it is now.
+  const auto r = map_now(c, 0, 3);
+  ASSERT_TRUE(r.has_value());
+  const auto end = c.topo.trace_route_up(c.hosts[0], *r);
+  ASSERT_TRUE(end.has_value());
+  EXPECT_EQ(*end, net::Device::host(c.hosts[3]));
 }
 
 TEST(FullMapper, ServesRoutesAfterModeledRemap) {

@@ -375,6 +375,46 @@ TEST(Topology, DisjointRouteIsDeterministicPerSalt) {
   EXPECT_EQ(a->cls, b->cls);
 }
 
+TEST(Topology, DisjointRouteWiringViewIgnoresUpDownState) {
+  // With links and switches down, the wiring view answers exactly what the
+  // up view answered on the whole fabric, for every ordered pair of clos-64;
+  // the up view routes around the faults.
+  auto f = make_clos_fabric(*clos_named_shape("clos-64"));
+  Topology& t = f.topo;
+  struct Pair {
+    HostId from, to;
+    Route primary;
+    std::optional<AltRoute> whole;
+  };
+  std::vector<Pair> pairs;
+  for (const HostId a : f.hosts) {
+    const RouteTree tree = t.shortest_routes_from(a);
+    for (const HostId b : f.hosts) {
+      if (a == b) continue;
+      const auto primary = tree[b];
+      ASSERT_TRUE(primary.has_value());
+      const std::uint64_t salt = 31 * a.v + b.v;
+      pairs.push_back({a, b, *primary, t.disjoint_route(a, b, *primary, salt)});
+    }
+  }
+  for (const std::uint32_t l : {0u, 5u, 40u, 97u}) t.set_link_up(LinkId{l}, false);
+  t.set_switch_up(f.cores[0], false);
+  t.set_switch_up(f.aggs[0], false);
+  std::size_t moved = 0;
+  for (const Pair& p : pairs) {
+    const std::uint64_t salt = 31 * p.from.v + p.to.v;
+    const auto wired =
+        t.disjoint_route(p.from, p.to, p.primary, salt, FabricView::kWiring);
+    ASSERT_EQ(wired.has_value(), p.whole.has_value());
+    if (!wired) continue;
+    EXPECT_EQ(wired->route, p.whole->route);
+    EXPECT_EQ(wired->cls, p.whole->cls);
+    const auto up = t.disjoint_route(p.from, p.to, p.primary, salt);
+    if (!up || up->route != wired->route) ++moved;
+  }
+  EXPECT_GT(moved, 0u);
+}
+
 TEST(Figure2Fabric, CrossFabricBackupIsLinkDisjoint) {
   // sw8_a - sw16_a - sw16_b - sw8_b is a chain: the interior switches cannot
   // be avoided, but every trunk is doubled — the best achievable backup for
