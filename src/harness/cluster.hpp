@@ -68,124 +68,6 @@ struct HostMsg {
   net::HostId src;
 };
 
-/// Topology plus the id/pod bookkeeping every rig needs. Shared by Cluster
-/// (serial) and ParallelCluster (partitioned), so both engines always run
-/// the exact same wiring for a given config — a precondition for the
-/// serial-vs-parallel equivalence battery.
-struct BuiltTopology {
-  net::Topology topo;
-  std::vector<net::HostId> hosts;
-  std::vector<net::SwitchId> switches;
-  std::vector<std::uint32_t> host_pods;
-  std::size_t num_pods = 1;
-};
-
-inline BuiltTopology build_cluster_topology(const ClusterConfig& cfg) {
-  BuiltTopology b;
-  if (cfg.topo == TopoKind::kSingleSwitch) {
-    auto sw = b.topo.add_switch(static_cast<std::uint8_t>(
-        std::min<std::size_t>(cfg.num_hosts + 2, 250)));
-    b.switches.push_back(sw);
-    for (std::size_t i = 0; i < cfg.num_hosts; ++i) {
-      auto h = b.topo.add_host();
-      b.topo.connect({net::Device::host(h), 0},
-                     {net::Device::sw(sw), static_cast<std::uint8_t>(i)});
-      b.hosts.push_back(h);
-    }
-    b.host_pods.assign(b.hosts.size(), 0);
-    b.num_pods = 1;
-  } else if (cfg.topo == TopoKind::kClos) {
-    auto clos = cfg.clos;
-    clos.num_hosts = cfg.num_hosts;
-    auto f = net::make_clos_fabric(clos);
-    b.topo = std::move(f.topo);
-    b.hosts = std::move(f.hosts);
-    // Creation order (switches[i].v == i): cores, then per pod the aggs
-    // followed by the edges.
-    b.switches = std::move(f.cores);
-    const std::size_t m = f.cfg.k / 2;
-    for (std::size_t pod = 0; pod < f.cfg.k; ++pod) {
-      for (std::size_t j = 0; j < m; ++j) {
-        b.switches.push_back(f.aggs[pod * m + j]);
-      }
-      for (std::size_t e = 0; e < m; ++e) {
-        b.switches.push_back(f.edges[pod * m + e]);
-      }
-    }
-    // Host i hangs off edge (i mod num_edges); edges are pod-major, m per
-    // pod — so pods stripe across consecutive host ids.
-    const std::size_t num_edges = f.edges.size();
-    for (std::size_t i = 0; i < b.hosts.size(); ++i) {
-      b.host_pods.push_back(static_cast<std::uint32_t>((i % num_edges) / m));
-    }
-    b.num_pods = f.cfg.k;
-  } else {
-    auto f = net::make_figure2_fabric(cfg.num_hosts);
-    b.topo = std::move(f.topo);
-    b.hosts = std::move(f.hosts);
-    b.switches = {f.sw8_a, f.sw16_a, f.sw16_b, f.sw8_b};
-    // Domain = the leaf switch the host is cabled into (round-robin with
-    // port-full skipping — read it back from the built topology).
-    for (const net::HostId h : b.hosts) {
-      auto att = b.topo.peer_of({net::Device::host(h), 0});
-      assert(att.has_value());
-      const net::SwitchId sw = att->peer.dev.as_switch();
-      const auto it = std::find(b.switches.begin(), b.switches.end(), sw);
-      b.host_pods.push_back(
-          static_cast<std::uint32_t>(it - b.switches.begin()));
-    }
-    b.num_pods = b.switches.size();
-  }
-  return b;
-}
-
-/// The firmware side of every host of a rig, in host order: reliable or raw
-/// firmware plus the configured mapper. Cluster and ParallelCluster both
-/// build through it, so both engines run identical stacks for one config.
-struct FirmwareStacks {
-  /// Build host `i`'s firmware on `nic`. With cfg.preload_routes one BFS
-  /// tree from the host feeds its route table and, with proactive backups
-  /// on, its on-demand mapper's path cache.
-  void add(const ClusterConfig& cfg, const net::Topology& topo,
-           const std::vector<net::HostId>& hosts, std::size_t i,
-           nic::Nic& nic) {
-    std::optional<net::RouteTree> preload;
-    if (cfg.preload_routes) preload = topo.shortest_routes_from(hosts[i]);
-    if (cfg.fw == FirmwareKind::kRaw) {
-      raw.push_back(std::make_unique<firmware::RawFirmware>(nic));
-      if (preload) raw.back()->routes().populate_all(*preload);
-      return;
-    }
-    rel.push_back(std::make_unique<firmware::ReliableFirmware>(nic, cfg.rel));
-    if (preload) rel.back()->routes().populate_all(*preload);
-    if (cfg.mapper == MapperKind::kOnDemand) {
-      auto od = cfg.ondemand;
-      if (od.radix_oracle == nullptr) od.radix_oracle = &topo;
-      mappers.push_back(std::make_unique<firmware::OnDemandMapper>(nic, od));
-      rel.back()->set_mapper(mappers.back().get());
-      // Preloaded rigs never probe before the first failure, so the
-      // mapper's cache would be cold and the first on_path_failure would
-      // find no backup to promote. Seed the cache (its backups are owed)
-      // from the same routes the table was preloaded with.
-      if (preload && od.proactive_backup) {
-        for (const net::HostId other : hosts) {
-          if (other == hosts[i]) continue;
-          if (auto r = (*preload)[other]) mappers.back()->seed_cache(other, *r);
-        }
-      }
-    } else if (cfg.mapper == MapperKind::kFull) {
-      full_mappers.push_back(
-          std::make_unique<firmware::FullMapper>(nic, topo, cfg.full));
-      rel.back()->set_mapper(full_mappers.back().get());
-    }
-  }
-
-  std::vector<std::unique_ptr<firmware::ReliableFirmware>> rel;
-  std::vector<std::unique_ptr<firmware::RawFirmware>> raw;
-  std::vector<std::unique_ptr<firmware::OnDemandMapper>> mappers;
-  std::vector<std::unique_ptr<firmware::FullMapper>> full_mappers;
-};
-
 class Cluster {
  public:
   explicit Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
@@ -195,7 +77,7 @@ class Cluster {
     for (std::size_t i = 0; i < hosts.size(); ++i) {
       nics_.push_back(
           std::make_unique<nic::Nic>(sched, *fabric_, hosts[i], cfg_.nic));
-      fw_.add(cfg_, topo, hosts, i, *nics_.back());
+      add_firmware(i, *nics_.back());
       inboxes_[i] = std::make_unique<sim::Channel<HostMsg>>();
       nics_[i]->set_host_rx(
           [this, i](net::UserHeader u, net::PayloadRef p, net::HostId src) {
@@ -213,23 +95,23 @@ class Cluster {
   }
   [[nodiscard]] firmware::ReliableFirmware& rel(std::size_t i) {
     assert(cfg_.fw == FirmwareKind::kReliable);
-    return *fw_.rel.at(i);
+    return *rel_.at(i);
   }
   [[nodiscard]] firmware::RawFirmware& raw(std::size_t i) {
     assert(cfg_.fw == FirmwareKind::kRaw);
-    return *fw_.raw.at(i);
+    return *raw_.at(i);
   }
   [[nodiscard]] firmware::RouteTable& routes(std::size_t i) {
-    return cfg_.fw == FirmwareKind::kReliable ? fw_.rel.at(i)->routes()
-                                              : fw_.raw.at(i)->routes();
+    return cfg_.fw == FirmwareKind::kReliable ? rel_.at(i)->routes()
+                                              : raw_.at(i)->routes();
   }
   [[nodiscard]] firmware::OnDemandMapper& mapper(std::size_t i) {
     assert(cfg_.mapper == MapperKind::kOnDemand);
-    return *fw_.mappers.at(i);
+    return *mappers_.at(i);
   }
   [[nodiscard]] firmware::FullMapper& full_mapper(std::size_t i) {
     assert(cfg_.mapper == MapperKind::kFull);
-    return *fw_.full_mappers.at(i);
+    return *full_mappers_.at(i);
   }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
 
@@ -259,18 +141,106 @@ class Cluster {
 
  private:
   void build_topology() {
-    BuiltTopology b = build_cluster_topology(cfg_);
-    topo = std::move(b.topo);
-    hosts = std::move(b.hosts);
-    switches = std::move(b.switches);
-    host_pods = std::move(b.host_pods);
-    num_pods = b.num_pods;
+    if (cfg_.topo == TopoKind::kSingleSwitch) {
+      auto sw = topo.add_switch(static_cast<std::uint8_t>(
+          std::min<std::size_t>(cfg_.num_hosts + 2, 250)));
+      switches.push_back(sw);
+      for (std::size_t i = 0; i < cfg_.num_hosts; ++i) {
+        auto h = topo.add_host();
+        topo.connect({net::Device::host(h), 0},
+                     {net::Device::sw(sw), static_cast<std::uint8_t>(i)});
+        hosts.push_back(h);
+      }
+      host_pods.assign(hosts.size(), 0);
+      num_pods = 1;
+    } else if (cfg_.topo == TopoKind::kClos) {
+      auto clos = cfg_.clos;
+      clos.num_hosts = cfg_.num_hosts;
+      auto f = net::make_clos_fabric(clos);
+      topo = std::move(f.topo);
+      hosts = std::move(f.hosts);
+      // Creation order (switches[i].v == i): cores, then per pod the aggs
+      // followed by the edges.
+      switches = std::move(f.cores);
+      const std::size_t m = f.cfg.k / 2;
+      for (std::size_t pod = 0; pod < f.cfg.k; ++pod) {
+        for (std::size_t j = 0; j < m; ++j) {
+          switches.push_back(f.aggs[pod * m + j]);
+        }
+        for (std::size_t e = 0; e < m; ++e) {
+          switches.push_back(f.edges[pod * m + e]);
+        }
+      }
+      // Host i hangs off edge (i mod num_edges); edges are pod-major, m per
+      // pod — so pods stripe across consecutive host ids.
+      const std::size_t num_edges = f.edges.size();
+      for (std::size_t i = 0; i < hosts.size(); ++i) {
+        host_pods.push_back(static_cast<std::uint32_t>((i % num_edges) / m));
+      }
+      num_pods = f.cfg.k;
+    } else {
+      auto f = net::make_figure2_fabric(cfg_.num_hosts);
+      topo = std::move(f.topo);
+      hosts = std::move(f.hosts);
+      switches = {f.sw8_a, f.sw16_a, f.sw16_b, f.sw8_b};
+      // Domain = the leaf switch the host is cabled into (round-robin with
+      // port-full skipping — read it back from the built topology).
+      for (const net::HostId h : hosts) {
+        auto att = topo.peer_of({net::Device::host(h), 0});
+        assert(att.has_value());
+        const net::SwitchId sw = att->peer.dev.as_switch();
+        const auto it = std::find(switches.begin(), switches.end(), sw);
+        host_pods.push_back(static_cast<std::uint32_t>(it - switches.begin()));
+      }
+      num_pods = switches.size();
+    }
+  }
+
+  /// Build host `i`'s firmware (reliable or raw, plus the configured mapper)
+  /// on `nic`. With cfg.preload_routes one BFS tree from the host feeds its
+  /// route table and, with proactive backups on, its on-demand mapper's path
+  /// cache.
+  void add_firmware(std::size_t i, nic::Nic& nic) {
+    std::optional<net::RouteTree> preload;
+    if (cfg_.preload_routes) preload = topo.shortest_routes_from(hosts[i]);
+    if (cfg_.fw == FirmwareKind::kRaw) {
+      raw_.push_back(std::make_unique<firmware::RawFirmware>(nic));
+      if (preload) raw_.back()->routes().populate_all(*preload);
+      return;
+    }
+    rel_.push_back(std::make_unique<firmware::ReliableFirmware>(nic, cfg_.rel));
+    if (preload) rel_.back()->routes().populate_all(*preload);
+    if (cfg_.mapper == MapperKind::kOnDemand) {
+      auto od = cfg_.ondemand;
+      if (od.radix_oracle == nullptr) od.radix_oracle = &topo;
+      mappers_.push_back(std::make_unique<firmware::OnDemandMapper>(nic, od));
+      rel_.back()->set_mapper(mappers_.back().get());
+      // Preloaded rigs never probe before the first failure, so the
+      // mapper's cache would be cold and the first on_path_failure would
+      // find no backup to promote. Seed the cache (its backups are owed)
+      // from the same routes the table was preloaded with.
+      if (preload && od.proactive_backup) {
+        for (const net::HostId other : hosts) {
+          if (other == hosts[i]) continue;
+          if (auto r = (*preload)[other]) {
+            mappers_.back()->seed_cache(other, *r);
+          }
+        }
+      }
+    } else if (cfg_.mapper == MapperKind::kFull) {
+      full_mappers_.push_back(
+          std::make_unique<firmware::FullMapper>(nic, topo, cfg_.full));
+      rel_.back()->set_mapper(full_mappers_.back().get());
+    }
   }
 
   ClusterConfig cfg_;
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<nic::Nic>> nics_;
-  FirmwareStacks fw_;
+  std::vector<std::unique_ptr<firmware::ReliableFirmware>> rel_;
+  std::vector<std::unique_ptr<firmware::RawFirmware>> raw_;
+  std::vector<std::unique_ptr<firmware::OnDemandMapper>> mappers_;
+  std::vector<std::unique_ptr<firmware::FullMapper>> full_mappers_;
   std::vector<std::unique_ptr<sim::Channel<HostMsg>>> inboxes_;
 };
 

@@ -7,15 +7,11 @@
 // and backup in distinct domains, so no single pod-level fault (edge/agg
 // death, whole-pod power loss) can take out both replicas of any shard.
 //
-// The tree is shape-only and immutable; liveness is layered on top by
-// FaultDomainView, which joins the tree with a membership oracle (the SWIM
-// agent's confirmed-dead set) to answer "how many live hosts does pod p
-// still have".
+// The tree is shape-only and immutable.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -96,45 +92,6 @@ class FaultDomainTree {
   std::vector<std::uint32_t> pod_of_;   // host -> pod ordinal
   std::size_t num_edges_ = 0;
   std::size_t num_pods_ = 0;
-};
-
-/// Tree + liveness oracle. The oracle answers "is this host confirmed dead"
-/// from this node's local membership view (SwimAgent::confirmed_dead); a
-/// null oracle means everyone is live (placement-time queries).
-class FaultDomainView {
- public:
-  using DeadOracle = std::function<bool(net::HostId)>;
-
-  explicit FaultDomainView(const FaultDomainTree& tree, DeadOracle dead = {})
-      : tree_(&tree), dead_(std::move(dead)) {}
-
-  [[nodiscard]] const FaultDomainTree& tree() const { return *tree_; }
-
-  [[nodiscard]] bool is_live(net::HostId h) const {
-    return !dead_ || !dead_(h);
-  }
-
-  [[nodiscard]] std::size_t live_in_pod(std::uint32_t pod) const {
-    std::size_t n = 0;
-    for (std::uint32_t i = 0; i < tree_->num_hosts(); ++i) {
-      const net::HostId h{i};
-      if (tree_->pod_of(h) == pod && is_live(h)) ++n;
-    }
-    return n;
-  }
-
-  /// Pods with no live host left — a whole fault domain is down.
-  [[nodiscard]] std::vector<std::uint32_t> dead_pods() const {
-    std::vector<std::uint32_t> out;
-    for (std::uint32_t p = 0; p < tree_->num_pods(); ++p) {
-      if (live_in_pod(p) == 0) out.push_back(p);
-    }
-    return out;
-  }
-
- private:
-  const FaultDomainTree* tree_;
-  DeadOracle dead_;
 };
 
 }  // namespace sanfault::membership

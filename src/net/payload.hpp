@@ -44,7 +44,8 @@ class PayloadRef {
 
   // Vector-flavored builders, so call sites composing payloads stay idiomatic.
   void assign(std::size_t n, std::uint8_t value) {
-    *this = PayloadRef(std::vector<std::uint8_t>(n, value));
+    buf_ = n == 0 ? nullptr
+                  : std::make_shared<const std::vector<std::uint8_t>>(n, value);
   }
   template <class It>
   void assign(It first, It last) {

@@ -65,18 +65,6 @@ void Topology::disconnect(LinkId l) {
   ++wiring_gen_;
 }
 
-std::vector<LinkId> Topology::links_at(Device d) const {
-  std::vector<LinkId> out;
-  if (d.is_host()) {
-    if (const auto& l = hosts_.at(d.index).link) out.push_back(*l);
-    return out;
-  }
-  for (const auto& slot : switches_.at(d.index).port_link) {
-    if (slot) out.push_back(*slot);
-  }
-  return out;
-}
-
 std::optional<Topology::Attachment> Topology::peer_of(Port p) const {
   const auto* slot = port_slot_const(p);
   if (!slot || !*slot) return std::nullopt;

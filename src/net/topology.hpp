@@ -104,11 +104,6 @@ class Topology {
   };
   [[nodiscard]] std::optional<Attachment> peer_of(Port p) const;
 
-  /// Every connected (non-disconnected) link touching this device, in port
-  /// order. The fault-injection layer uses this to take a whole switch's
-  /// cabling down or to find a host's access link.
-  [[nodiscard]] std::vector<LinkId> links_at(Device d) const;
-
   /// The single link wiring a host into the fabric, if any. Downing it
   /// cleanly partitions the host (the chaos partition primitive).
   [[nodiscard]] std::optional<LinkId> host_access_link(HostId h) const {

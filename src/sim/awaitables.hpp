@@ -117,51 +117,6 @@ class WaitGroup {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-/// Counting semaphore with FIFO wakeup. Used by host code to bound
-/// outstanding operations (e.g. send-window credit at the VMMC level).
-class Semaphore {
- public:
-  explicit Semaphore(std::size_t initial) : count_(initial) {}
-
-  struct Awaiter {
-    Semaphore& s;
-    Scheduler& sched;
-    bool await_ready() const noexcept {
-      if (s.count_ > 0) {
-        --s.count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) const {
-      s.waiters_.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  [[nodiscard]] Awaiter acquire(Scheduler& sched) {
-    return Awaiter{*this, sched};
-  }
-
-  void release(Scheduler& sched) {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      // The permit is handed directly to the woken waiter.
-      sched.after(0, [h] { h.resume(); });
-    } else {
-      ++count_;
-    }
-  }
-
-  [[nodiscard]] std::size_t available() const { return count_; }
-  [[nodiscard]] std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
 /// Unbounded awaitable FIFO channel. push() never blocks; pop() suspends
 /// until a value is available. Multi-consumer safe: a pushed value is handed
 /// directly to the oldest waiter (FIFO), so a concurrently-resumed consumer

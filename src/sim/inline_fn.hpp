@@ -38,6 +38,13 @@ class InlineFn<R(Args...), InlineBytes> {
             class = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
                                      std::is_invocable_r_v<R, D&, Args...>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
+    if constexpr (std::is_trivially_copyable_v<D>) {
+      // A wrapper built by value is usually moved on, and that move copies
+      // the whole buffer: define the bytes the callable leaves untouched so
+      // the copy never reads indeterminate storage. emplace() skips this —
+      // the scheduler's hot path builds straight into pooled nodes.
+      __builtin_memset(buf_, 0, InlineBytes);
+    }
     construct<D>(std::forward<F>(f));
   }
 

@@ -1,6 +1,7 @@
 // Tests for the dynamic fabric: timing, contention, CRC, and fault injection.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "net/crc.hpp"
@@ -290,6 +291,52 @@ TEST_F(FabricFixture, MultiHopTimingAddsPerHopLatency) {
   // plus final 250 propagation.
   const sim::Duration ser2 = sim::transfer_time(p.wire_bytes(), 160.0e6);
   EXPECT_EQ(rx2.got[0].first, 2 * (250u + 300u) + ser2 + 250u);
+}
+
+// Fault draws come from one RNG stream per link direction, consumed in that
+// direction's traversal order. So a flow's drop pattern depends only on the
+// links it crosses: an unrelated flow on other links of the same crossbar
+// must not move a single one of its drops.
+TEST(FabricFaultStreams, DropPatternIgnoresUnrelatedTraffic) {
+  constexpr std::uint32_t kPackets = 200;
+  const auto h0_to_h1_drops = [](bool with_other_flow) {
+    sim::Scheduler sched;
+    Topology topo;
+    const SwitchId sw = topo.add_switch(8);
+    std::vector<HostId> h;
+    for (std::uint8_t i = 0; i < 4; ++i) {
+      h.push_back(topo.add_host());
+      topo.connect({Device::host(h.back()), 0}, {Device::sw(sw), i});
+    }
+    Fabric f(sched, topo, FabricConfig{.seed = 7});
+    for (const HostId host : h) f.attach(host, [](Packet&&, bool) {});
+    f.set_link_fault_rates(std::nullopt, 0.3, 0.0);
+    std::vector<std::uint32_t> drops;
+    f.set_drop_hook([&](const Packet& p, DropReason r) {
+      EXPECT_EQ(r, DropReason::kRandomLoss);
+      if (p.hdr.src == h[0]) drops.push_back(p.hdr.seq);
+    });
+    for (std::uint32_t seq = 0; seq < kPackets; ++seq) {
+      sched.at(seq * sim::microseconds(5), [&, seq] {
+        Packet a = FabricFixture::data_packet(h[0], h[1], Route{{1}}, 64);
+        a.hdr.seq = seq;
+        f.inject(h[0], std::move(a));
+        if (with_other_flow) {
+          Packet b = FabricFixture::data_packet(h[2], h[3], Route{{3}}, 64);
+          b.hdr.seq = seq;
+          f.inject(h[2], std::move(b));
+        }
+      });
+    }
+    sched.run();
+    return drops;
+  };
+  const std::vector<std::uint32_t> alone = h0_to_h1_drops(false);
+  // Loss at 0.3 on both links of the path: the pattern is neither empty nor
+  // total, so the comparison below has something to pin.
+  EXPECT_GT(alone.size(), kPackets / 4);
+  EXPECT_LT(alone.size(), kPackets * 3 / 4);
+  EXPECT_EQ(h0_to_h1_drops(true), alone);
 }
 
 }  // namespace

@@ -175,51 +175,6 @@ TEST(WaitGroup, ReusableAfterDrain) {
   EXPECT_EQ(j2, 30u);
 }
 
-Process acquirer(Scheduler& s, Semaphore& sem, Duration hold,
-                 std::vector<Time>& got) {
-  co_await sem.acquire(s);
-  got.push_back(s.now());
-  co_await DelayFor{s, hold};
-  sem.release(s);
-}
-
-TEST(Semaphore, SerializesWhenCountIsOne) {
-  Scheduler s;
-  Semaphore sem(1);
-  std::vector<Time> got;
-  acquirer(s, sem, 10, got);
-  acquirer(s, sem, 10, got);
-  acquirer(s, sem, 10, got);
-  s.run();
-  EXPECT_EQ(got, (std::vector<Time>{0, 10, 20}));
-  EXPECT_EQ(sem.available(), 1u);
-}
-
-TEST(Semaphore, AllowsConcurrencyUpToCount) {
-  Scheduler s;
-  Semaphore sem(2);
-  std::vector<Time> got;
-  acquirer(s, sem, 10, got);
-  acquirer(s, sem, 10, got);
-  acquirer(s, sem, 10, got);
-  s.run();
-  EXPECT_EQ(got, (std::vector<Time>{0, 0, 10}));
-}
-
-TEST(Semaphore, FifoWakeupOrder) {
-  Scheduler s;
-  Semaphore sem(0);
-  std::vector<Time> got;
-  acquirer(s, sem, 5, got);
-  acquirer(s, sem, 5, got);
-  EXPECT_EQ(sem.waiting(), 2u);
-  s.at(100, [&] { sem.release(s); });
-  s.run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 100u);
-  EXPECT_EQ(got[1], 105u);
-}
-
 Process consumer(Scheduler& s, Channel<int>& c, std::vector<std::pair<Time, int>>& seen,
                  int n) {
   for (int i = 0; i < n; ++i) {
