@@ -5,9 +5,11 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 #include <numeric>
+#include <string_view>
+#include <vector>
 
 #include "harness/cluster.hpp"
-#include "harness/trace.hpp"
+#include "obs/metrics.hpp"
 #include "sim/process.hpp"
 #include "vmmc/endpoint.hpp"
 
@@ -59,7 +61,10 @@ int main() {
 
   vmmc::Endpoint alice(c.sched, c.nic(0));
   vmmc::Endpoint bob(c.sched, c.nic(1));
-  harness::PacketTrace trace(c.fabric(), c.sched, /*capacity=*/12);
+  // Record every packet's life in the simulation's trace ring
+  // (docs/OBSERVABILITY.md); the tail of it is printed below.
+  obs::TraceRing& ring = obs::Registry::of(c.sched).trace();
+  ring.enable();
 
   bool done = false;
   run_demo(c, alice, bob, done);
@@ -76,7 +81,23 @@ int main() {
       static_cast<unsigned long long>(s.retrans_rounds));
   std::printf("transparent recovery: the application never noticed.\n");
 
-  std::printf("\nlast wire events (PacketTrace):\n");
-  trace.dump(stdout);
+  // The last dozen packet events, leaving out per-switch hops and timer
+  // scans: injections, drops, retransmissions, ACKs and deliveries.
+  std::vector<obs::TraceEvent> wire;
+  for (const obs::TraceEvent& e : ring.snapshot()) {
+    if (e.kind != obs::TraceKind::kHopTraverse &&
+        e.kind != obs::TraceKind::kTimerFire) {
+      wire.push_back(e);
+    }
+  }
+  std::printf("\nlast wire events (trace ring):\n");
+  for (std::size_t i = wire.size() > 12 ? wire.size() - 12 : 0;
+       i < wire.size(); ++i) {
+    const obs::TraceEvent& e = wire[i];
+    const std::string_view kind = obs::trace_kind_name(e.kind);
+    std::printf("%12.3f us  %-14.*s %u->%u seq=%u gen=%u\n",
+                sim::to_micros(e.t), static_cast<int>(kind.size()),
+                kind.data(), e.src, e.dst, e.seq, e.gen);
+  }
   return 0;
 }

@@ -5,8 +5,8 @@
 # main job runs `verify.sh --quick` (see .github/workflows/ci.yml).
 #
 # Modes and optional stages:
-#   --quick        CI-sized gate (~minutes): skips the chaos determinism
-#                  double-run and validates the campaign with one pass.
+#   --quick        CI-sized gate (~minutes): skips the proactive-failover
+#                  compare sweep (bench_chaos --compare).
 #   --perf-smoke   run bench_simcore --quick and fail if any metric falls
 #                  below bench/golden/simcore_floor.json (a >2x regression;
 #                  see docs/PERFORMANCE.md for the floor's provenance and
@@ -54,45 +54,48 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 python3 scripts/metrics_diff.py bench/golden/kv_quick_metrics.json \
     build/kv_quick_metrics.json
 
-# Chaos recovery gate: drive the quick fault campaign (docs/CHAOS.md) and
-# diff its recovery counters against bench/golden/chaos_quick_metrics.json.
-# The wider tolerance covers the chaos.*_ns timing counters, which shift
-# more across toolchains than event counts do. Regenerate after intentional
-# recovery-path changes with:
+# Determinism gate: `twice <label> <command...>` runs a bench twice and
+# requires its artifacts to be bit-identical. Every argument containing "@"
+# has it replaced by the run number (1, then 2); those naming files under
+# build/ are the artifacts, byte-compared pairwise after the second run
+# (so `--jobs @` also varies the worker count between the runs).
+twice() {
+  local label=$1 run arg
+  shift
+  for run in 1 2; do
+    local argv=()
+    for arg in "$@"; do argv+=("${arg//@/$run}"); done
+    "${argv[@]}" >/dev/null
+  done
+  for arg in "$@"; do
+    if [[ "$arg" == build/*@* ]]; then cmp "${arg//@/1}" "${arg//@/2}"; fi
+  done
+  echo "$label determinism OK: double run bit-identical"
+}
+
+# Chaos recovery gate: drive the quick fault campaign (docs/CHAOS.md) twice —
+# results, event log and metrics must replay bit-identically (the property
+# tests/chaos_test.cpp also enforces) — and diff its recovery counters
+# against bench/golden/chaos_quick_metrics.json. The wider tolerance covers
+# the chaos.*_ns timing counters, which shift more across toolchains than
+# event counts do. Regenerate after intentional recovery-path changes with:
 #   ./build/bench/bench_chaos --quick --metrics-json bench/golden/chaos_quick_metrics.json
-echo "--- chaos gate: bench_chaos --quick vs bench/golden/chaos_quick_metrics.json"
-./build/bench/bench_chaos --quick \
-    --json build/chaos_quick.json \
-    --metrics-json build/chaos_quick_metrics.json \
-    --log build/chaos_quick_events.log >/dev/null
+echo "--- chaos gate: bench_chaos --quick double run vs bench/golden/chaos_quick_metrics.json"
+twice chaos ./build/bench/bench_chaos --quick \
+    --json build/chaos_quick@.json \
+    --metrics-json build/chaos_quick@_metrics.json \
+    --log build/chaos_quick@_events.log
 python3 scripts/metrics_diff.py --tolerance 0.5 \
-    bench/golden/chaos_quick_metrics.json build/chaos_quick_metrics.json
+    bench/golden/chaos_quick_metrics.json build/chaos_quick1_metrics.json
 
 # Corruption smoke (docs/CHAOS.md "State corruption"): one fixed-seed
 # convergence cell per corruption class, run twice; the scrubber's repair
-# path must replay byte-identically, and every class must converge. Cheap
-# enough to block the quick gate too.
+# path must replay byte-identically, and every class must converge.
 echo "--- corruption smoke: bench_chaos --corrupt-smoke double run"
-./build/bench/bench_chaos --corrupt-smoke \
-    --log build/corrupt_smoke_events.log >/dev/null
-./build/bench/bench_chaos --corrupt-smoke \
-    --log build/corrupt_smoke2_events.log >/dev/null
-cmp build/corrupt_smoke_events.log build/corrupt_smoke2_events.log
-echo "corruption smoke OK: all classes converged, double run bit-identical"
+twice "corruption smoke" ./build/bench/bench_chaos --corrupt-smoke \
+    --log build/corrupt_smoke@_events.log
 
 if [[ "$QUICK" == 0 ]]; then
-  # Determinism contract: a second same-seed run must be bit-identical in
-  # results, event log, and metrics (the property tests/chaos_test.cpp and
-  # the chaos-smoke CI job also enforce).
-  ./build/bench/bench_chaos --quick \
-      --json build/chaos_quick2.json \
-      --metrics-json build/chaos_quick2_metrics.json \
-      --log build/chaos_quick2_events.log >/dev/null
-  cmp build/chaos_quick.json build/chaos_quick2.json
-  cmp build/chaos_quick_metrics.json build/chaos_quick2_metrics.json
-  cmp build/chaos_quick_events.log build/chaos_quick2_events.log
-  echo "chaos determinism OK: double run bit-identical"
-
   # Proactive-failover gate (docs/ROUTING.md, EXPERIMENTS.md "Failover cost
   # and TTFR"): every scenario runs as an on-demand/proactive pair; the
   # binary exits nonzero unless proactive median per-destination TTFR is
@@ -108,12 +111,8 @@ fi
 # nonzero otherwise. The detector is seeded-Rng + sim-time driven, so a
 # second run — at a different --jobs — must produce byte-identical JSON.
 echo "--- membership gate: bench_membership --quick determinism double run"
-./build/bench/bench_membership --quick \
-    --json build/membership_quick.json >/dev/null
-./build/bench/bench_membership --quick --jobs 2 \
-    --json build/membership_quick2.json >/dev/null
-cmp build/membership_quick.json build/membership_quick2.json
-echo "membership determinism OK: double run bit-identical"
+twice membership ./build/bench/bench_membership --quick --jobs @ \
+    --json build/membership_quick@.json
 
 # Repair gate (DESIGN.md §13, EXPERIMENTS.md "Repair bandwidth vs foreground
 # goodput"): the striped host-kill sweep must reconstruct every stripe with
@@ -121,15 +120,9 @@ echo "membership determinism OK: double run bit-identical"
 # the binary exits nonzero otherwise — and a second run must produce a
 # byte-identical repair transcript and cell JSON.
 echo "--- repair gate: bench_repair --quick determinism double run"
-./build/bench/bench_repair --quick \
-    --json build/repair_quick.json \
-    --log build/repair_quick_events.log >/dev/null
-./build/bench/bench_repair --quick \
-    --json build/repair_quick2.json \
-    --log build/repair_quick2_events.log >/dev/null
-cmp build/repair_quick.json build/repair_quick2.json
-cmp build/repair_quick_events.log build/repair_quick2_events.log
-echo "repair determinism OK: double run bit-identical"
+twice repair ./build/bench/bench_repair --quick \
+    --json build/repair_quick@.json \
+    --log build/repair_quick@_events.log
 
 # Workflow static validation (actionlint stand-in; no-op without PyYAML).
 python3 scripts/validate_ci.py

@@ -92,7 +92,6 @@ std::string StateCorruptor::apply(const ChaosEvent& ev) {
      << " state=" << corrupt_state_name(ev.state)
      << " mode=" << corrupt_mode_name(ev.mode);
   const auto noop = [&](std::string_view why) {
-    ++noops_;
     noop_ctr_->inc();
     os << " noop=" << why;
     return os.str();

@@ -48,9 +48,9 @@ class StateCorruptor {
   /// Apply one kCorrupt event; returns the audit line for the chaos log.
   [[nodiscard]] std::string apply(const ChaosEvent& ev);
 
-  /// Corruptions that actually rewrote live state vs. audited no-ops.
+  /// Corruptions that actually rewrote live state (audited no-ops count
+  /// only in the chaos.corruptions_noop metric).
   [[nodiscard]] std::uint64_t applied() const { return applied_; }
-  [[nodiscard]] std::uint64_t noops() const { return noops_; }
 
  private:
   struct Binding {
@@ -67,7 +67,6 @@ class StateCorruptor {
   std::map<std::uint32_t, Binding> bound_;  // host.v -> targets (ordered)
   sim::Rng rng_;
   std::uint64_t applied_ = 0;
-  std::uint64_t noops_ = 0;
   obs::Counter* applied_ctr_ = nullptr;
   obs::Counter* noop_ctr_ = nullptr;
 };

@@ -82,9 +82,4 @@ inline std::uint8_t gf_inv(std::uint8_t a) {
   return detail::kGf.exp[255 - detail::kGf.log[a]];
 }
 
-inline std::uint8_t gf_div(std::uint8_t a, std::uint8_t b) {
-  if (a == 0) return 0;
-  return gf_mul(a, gf_inv(b));
-}
-
 }  // namespace sanfault::ec

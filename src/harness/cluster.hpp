@@ -11,6 +11,7 @@
 #include <cassert>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "firmware/mapper_full.hpp"
@@ -21,6 +22,7 @@
 #include "net/topology.hpp"
 #include "nic/nic.hpp"
 #include "sim/awaitables.hpp"
+#include "sim/process.hpp"
 #include "sim/scheduler.hpp"
 
 namespace sanfault::harness {
@@ -90,6 +92,9 @@ class Cluster {
   [[nodiscard]] std::size_t size() const { return hosts.size(); }
   [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] nic::Nic& nic(std::size_t i) { return *nics_.at(i); }
+  [[nodiscard]] std::span<const std::unique_ptr<nic::Nic>> nics() const {
+    return nics_;
+  }
   [[nodiscard]] sim::Channel<HostMsg>& inbox(std::size_t i) {
     return *inboxes_.at(i);
   }
@@ -133,9 +138,9 @@ class Cluster {
   /// switches first — see net::ClosFabric).
   std::vector<net::SwitchId> switches;
   /// Fault-domain (pod) ordinal per host, parallel to `hosts` — the input to
-  /// membership::FaultDomainTree and pod-aware shard placement. kClos: the
-  /// fat-tree pod. kFigure2: the leaf switch the host hangs off. Single
-  /// switch: one trivial domain.
+  /// pod-aware shard placement (kv::ShardMap) and stripe placement
+  /// (ec::StripeMap). kClos: the fat-tree pod. kFigure2: the leaf switch the
+  /// host hangs off. Single switch: one trivial domain.
   std::vector<std::uint32_t> host_pods;
   std::size_t num_pods = 1;
 
@@ -243,5 +248,19 @@ class Cluster {
   std::vector<std::unique_ptr<firmware::FullMapper>> full_mappers_;
   std::vector<std::unique_ptr<sim::Channel<HostMsg>>> inboxes_;
 };
+
+/// Everything drain() has moved out of one host's inbox, in arrival order.
+struct Drainer {
+  std::vector<HostMsg> msgs;
+};
+
+/// Forever pop host `host`'s inbox into `d` — the message sink of tests
+/// that only inspect what arrived.
+inline sim::Process drain(Cluster& c, std::size_t host, Drainer& d) {
+  for (;;) {
+    HostMsg m = co_await c.inbox(host).pop(c.sched);
+    d.msgs.push_back(std::move(m));
+  }
+}
 
 }  // namespace sanfault::harness

@@ -74,7 +74,6 @@ class ShadowMap {
     committed_.insert(id.packed());
   }
 
-  [[nodiscard]] std::uint64_t issued_writes() const { return issued_.size(); }
   [[nodiscard]] std::uint64_t committed_writes() const {
     return committed_.size();
   }

@@ -21,9 +21,7 @@
 #include "kv/server.hpp"
 #include "kv/shard_map.hpp"
 #include "kv/striped.hpp"
-#include "membership/fault_domains.hpp"
 #include "membership/swim.hpp"
-#include "sim/process.hpp"
 #include "vmmc/endpoint.hpp"
 #include "vmmc/rpc.hpp"
 
@@ -78,8 +76,6 @@ class KvRig {
   explicit KvRig(KvRigConfig cfg)
       : cfg_(fix(std::move(cfg))), c(cfg_.cluster) {
     const std::size_t n = c.size();
-    domains = std::make_unique<membership::FaultDomainTree>(
-        membership::FaultDomainTree::from_pods(c.host_pods));
     std::vector<net::HostId> server_hosts(
         c.hosts.begin(),
         c.hosts.begin() + static_cast<std::ptrdiff_t>(cfg_.num_servers));
@@ -93,11 +89,11 @@ class KvRig {
                                      /*vnodes=*/16, cfg_.map_seed,
                                      std::move(server_pods));
 
-    for (std::size_t i = 0; i < n; ++i) {
-      eps.push_back(std::make_unique<vmmc::Endpoint>(c.sched, c.nic(i)));
-      msgs.push_back(std::make_unique<vmmc::MsgEndpoint>(
-          c.sched, *eps.back(), cfg_.ring_per_peer, /*max_peers=*/n));
-    }
+    // Servers talk to everyone (replication, forwards, replies); client
+    // hosts only ever post to servers — unless membership gossip is on, in
+    // which case every host probes every other and the mesh must be full.
+    vmmc::build_msg_mesh(c.sched, c.nics(), cfg_.ring_per_peer,
+                         cfg_.membership ? n : cfg_.num_servers, eps, msgs);
     for (std::size_t i = 0; i < cfg_.num_servers; ++i) {
       servers.push_back(
           std::make_unique<KvServer>(c.sched, *msgs[i], *map, cfg_.server));
@@ -131,7 +127,6 @@ class KvRig {
       }
     }
 
-    connect_mesh();
     for (auto& s : servers) s->start();
     for (auto& ch : clients) ch->start();
 
@@ -238,7 +233,6 @@ class KvRig {
 
   KvRigConfig cfg_;
   harness::Cluster c;
-  std::unique_ptr<membership::FaultDomainTree> domains;
   std::unique_ptr<ShardMap> map;
   std::vector<std::unique_ptr<vmmc::Endpoint>> eps;
   std::vector<std::unique_ptr<vmmc::MsgEndpoint>> msgs;
@@ -257,30 +251,6 @@ class KvRig {
   static KvRigConfig fix(KvRigConfig cfg) {
     cfg.cluster.num_hosts = cfg.num_servers + cfg.num_client_hosts;
     return cfg;
-  }
-
-  // Servers talk to everyone (replication, forwards, replies); client hosts
-  // only ever post to servers — unless membership gossip is on, in which
-  // case every host probes every other and the mesh must be full.
-  void connect_mesh() {
-    bool done = false;
-    [](KvRig& r, bool& flag) -> sim::Process {
-      const std::size_t s = r.cfg_.num_servers;
-      const std::size_t n = r.c.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t targets = (i < s || r.cfg_.membership) ? n : s;
-        for (std::size_t j = 0; j < targets; ++j) {
-          if (i == j) continue;
-          const bool ok = co_await r.msgs[i]->connect(r.c.hosts[j]);
-          assert(ok);
-          (void)ok;
-        }
-      }
-      flag = true;
-    }(*this, done);
-    while (!done && c.sched.step()) {
-    }
-    assert(done && "mesh connect did not complete");
   }
 };
 

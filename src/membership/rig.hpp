@@ -5,15 +5,12 @@
 // kv::KvRig with cfg.membership instead.
 #pragma once
 
-#include <cassert>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "harness/cluster.hpp"
-#include "membership/fault_domains.hpp"
 #include "membership/swim.hpp"
-#include "sim/process.hpp"
 #include "vmmc/endpoint.hpp"
 #include "vmmc/rpc.hpp"
 
@@ -28,29 +25,22 @@ struct SwimRigConfig {
   /// Per-host config tweak (host index, config) — e.g. give one member an
   /// ack_delay to model a processing-bound host.
   std::function<void(std::size_t, SwimConfig&)> tweak;
-  /// Wire each agent's confirm hook to ReliableFirmware::exclude_peer, the
-  /// production integration (requires reliable firmware).
-  bool wire_exclusion = true;
 };
 
 class SwimRig {
  public:
   explicit SwimRig(SwimRigConfig cfg) : cfg_(std::move(cfg)), c(cfg_.cluster) {
     const std::size_t n = c.size();
-    domains = FaultDomainTree::from_pods(c.host_pods);
-    for (std::size_t i = 0; i < n; ++i) {
-      eps.push_back(std::make_unique<vmmc::Endpoint>(c.sched, c.nic(i)));
-      msgs.push_back(std::make_unique<vmmc::MsgEndpoint>(
-          c.sched, *eps.back(), cfg_.ring_per_peer, /*max_peers=*/n));
-    }
-    connect_mesh();
+    vmmc::build_msg_mesh(c.sched, c.nics(), cfg_.ring_per_peer,
+                         /*full_rows=*/n, eps, msgs);
     for (std::size_t i = 0; i < n; ++i) {
       SwimConfig s = cfg_.swim;
       if (cfg_.tweak) cfg_.tweak(i, s);
       agents.push_back(
           std::make_unique<SwimAgent>(c.sched, *msgs[i], c.hosts, s));
-      if (cfg_.wire_exclusion &&
-          c.config().fw == harness::FirmwareKind::kReliable) {
+      // The production integration: a confirm excludes the dead peer at
+      // this host's firmware.
+      if (c.config().fw == harness::FirmwareKind::kReliable) {
         agents.back()->set_confirm_hook([this, i](net::HostId dead, sim::Time) {
           c.rel(i).exclude_peer(dead);
         });
@@ -72,30 +62,9 @@ class SwimRig {
 
   SwimRigConfig cfg_;
   harness::Cluster c;
-  FaultDomainTree domains;
   std::vector<std::unique_ptr<vmmc::Endpoint>> eps;
   std::vector<std::unique_ptr<vmmc::MsgEndpoint>> msgs;
   std::vector<std::unique_ptr<SwimAgent>> agents;
-
- private:
-  void connect_mesh() {
-    bool done = false;
-    [](SwimRig& r, bool& flag) -> sim::Process {
-      const std::size_t n = r.c.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j) continue;
-          const bool ok = co_await r.msgs[i]->connect(r.c.hosts[j]);
-          assert(ok);
-          (void)ok;
-        }
-      }
-      flag = true;
-    }(*this, done);
-    while (!done && c.sched.step()) {
-    }
-    assert(done && "gossip mesh connect did not complete");
-  }
 };
 
 }  // namespace sanfault::membership

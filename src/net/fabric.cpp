@@ -59,19 +59,6 @@ Fabric::~Fabric() {
   if (auto* r = obs::Registry::find(sched_)) r->remove_collectors(this);
 }
 
-std::string_view fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLinkDown: return "link_down";
-    case FaultKind::kLinkUp: return "link_up";
-    case FaultKind::kSwitchDown: return "switch_down";
-    case FaultKind::kSwitchUp: return "switch_up";
-    case FaultKind::kHostCut: return "host_cut";
-    case FaultKind::kHostHeal: return "host_heal";
-    case FaultKind::kFaultRates: return "fault_rates";
-  }
-  return "?";
-}
-
 void Fabric::notify_fault(const FaultEvent& ev) {
   ++fault_transitions_;
   if (fault_hook_) fault_hook_(ev);
@@ -159,7 +146,6 @@ void Fabric::drop(const Packet& pkt, DropReason reason) {
         static_cast<std::uint32_t>(reason), pkt.hdr.generation, 0,
         obs::TraceKind::kFabricDrop});
   }
-  if (drop_hook_) drop_hook_(pkt, reason);
 }
 
 void Fabric::deliver(Packet&& pkt, HostId dst) {

@@ -105,8 +105,6 @@ enum class FaultKind : std::uint8_t {
   kFaultRates, // per-link loss/corrupt probabilities changed
 };
 
-[[nodiscard]] std::string_view fault_kind_name(FaultKind k);
-
 /// FaultEvent::id value meaning "every link" for kFaultRates.
 inline constexpr std::uint32_t kAllLinks = 0xffffffffu;
 
@@ -122,7 +120,6 @@ class Fabric {
   /// Receive handler: the fully-arrived packet and the hardware CRC verdict
   /// over it (false for a packet a link fault corrupted in flight).
   using RxHandler = std::function<void(Packet&&, bool crc_ok)>;
-  using DropHook = std::function<void(const Packet&, DropReason)>;
 
   Fabric(sim::Scheduler& sched, Topology& topo, FabricConfig cfg = {});
   ~Fabric();
@@ -140,9 +137,6 @@ class Fabric {
   /// self-clock to actual wire drainage (real MCPs block on the send DMA).
   /// Packets dropped before reaching the wire return now().
   sim::Time inject(HostId src, Packet pkt);
-
-  /// Optional observer for every drop (tracing / tests).
-  void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
 
   /// Optional observer for every delivery, invoked just before the receive
   /// handler (tracing / tests).
@@ -175,16 +169,6 @@ class Fabric {
   /// `l` is nullopt (the error-rate-ramp primitive).
   void set_link_fault_rates(std::optional<LinkId> l, double loss,
                             double corrupt);
-  /// Fault transitions applied through this API (not per-packet faults).
-  [[nodiscard]] std::uint64_t fault_transitions() const {
-    return fault_transitions_;
-  }
-
-  /// Occupancy server for one direction of a link (exposed for tests and
-  /// utilization reporting). dir 0: a->b, dir 1: b->a.
-  [[nodiscard]] const sim::FifoServer& link_server(LinkId l, int dir) const {
-    return dir == 0 ? link_srv_[l.v].ab : link_srv_[l.v].ba;
-  }
 
  private:
   struct LinkServers {
@@ -217,7 +201,6 @@ class Fabric {
   std::vector<LinkServers> link_srv_;
   std::vector<LinkFaults> link_faults_;
   FabricStats stats_;
-  DropHook drop_hook_;
   DeliveryHook delivery_hook_;
   std::function<void(const FaultEvent&)> fault_hook_;
   std::uint64_t fault_transitions_ = 0;

@@ -53,11 +53,6 @@ class PayloadRef {
   }
   void clear() { buf_.reset(); }
 
-  /// Deep copy into a fresh mutable vector.
-  [[nodiscard]] std::vector<std::uint8_t> to_vector() const {
-    return {begin(), end()};
-  }
-
   /// A new payload sharing nothing with this one, with byte `i` XORed by
   /// `mask` — the fault injector's copy-on-write path.
   [[nodiscard]] PayloadRef corrupted(std::size_t i, std::uint8_t mask) const {

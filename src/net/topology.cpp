@@ -209,6 +209,20 @@ std::optional<Device> Topology::trace_route(HostId from, const Route& r) const {
   return cur;
 }
 
+std::vector<LinkId> Topology::route_links(HostId from, const Route& r) const {
+  auto att = peer_of(Port{Device::host(from), 0});
+  if (!att) return {};
+  std::vector<LinkId> links{att->link};
+  Device cur = att->peer.dev;
+  for (const std::uint8_t port : r.ports) {
+    auto hop = peer_of(Port{cur, port});
+    if (!hop) return {};
+    links.push_back(hop->link);
+    cur = hop->peer.dev;
+  }
+  return links;
+}
+
 std::optional<Device> Topology::trace_route_up(HostId from,
                                                const Route& r) const {
   auto att = peer_of(Port{Device::host(from), 0});

@@ -143,6 +143,12 @@ class Topology {
   [[nodiscard]] std::optional<Device> trace_route(HostId from,
                                                   const Route& r) const;
 
+  /// Links a route crosses from `from`, access link first, one per route
+  /// byte after it (ignoring up/down state). Empty when the walk falls off
+  /// the fabric (unconnected host or port).
+  [[nodiscard]] std::vector<LinkId> route_links(HostId from,
+                                                const Route& r) const;
+
   /// Device sitting at the end of a route *prefix* from `from` — unlike
   /// trace_route, running out of route bytes at a switch returns that
   /// switch. Used as the mapper's "radix oracle" (operators know their

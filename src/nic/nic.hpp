@@ -110,7 +110,6 @@ class Nic {
   [[nodiscard]] sim::Scheduler& sched() { return sched_; }
   [[nodiscard]] net::HostId self() const { return self_; }
   [[nodiscard]] const NicCostModel& costs() const { return cfg_.costs; }
-  [[nodiscard]] const HostCostModel& host_costs() const { return cfg_.host; }
   [[nodiscard]] sim::FifoServer& cpu() { return cpu_; }
 
   /// Put a packet on the wire (the fabric models the network send DMA).

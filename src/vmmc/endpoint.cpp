@@ -69,10 +69,6 @@ std::span<const std::uint8_t> Endpoint::buffer(ExportId id) const {
   return exports_.at(id).data;
 }
 
-std::span<std::uint8_t> Endpoint::buffer_mut(ExportId id) {
-  return exports_.at(id).data;
-}
-
 sim::Channel<DepositEvent>& Endpoint::notifications(ExportId id) {
   return *exports_.at(id).notify;
 }

@@ -65,7 +65,6 @@ class Endpoint {
   ExportId export_buffer(std::size_t bytes);
 
   [[nodiscard]] std::span<const std::uint8_t> buffer(ExportId id) const;
-  [[nodiscard]] std::span<std::uint8_t> buffer_mut(ExportId id);
 
   /// Awaitable stream of complete-message notifications for one export.
   [[nodiscard]] sim::Channel<DepositEvent>& notifications(ExportId id);

@@ -77,4 +77,35 @@ sim::Process MsgEndpoint::pump() {
   }
 }
 
+void build_msg_mesh(sim::Scheduler& sched,
+                    std::span<const std::unique_ptr<nic::Nic>> nics,
+                    std::size_t ring_per_peer, std::size_t full_rows,
+                    std::vector<std::unique_ptr<Endpoint>>& eps,
+                    std::vector<std::unique_ptr<MsgEndpoint>>& msgs) {
+  assert(eps.empty() && msgs.empty());
+  for (const std::unique_ptr<nic::Nic>& nic : nics) {
+    eps.push_back(std::make_unique<Endpoint>(sched, *nic));
+    msgs.push_back(std::make_unique<MsgEndpoint>(
+        sched, *eps.back(), ring_per_peer, /*max_peers=*/nics.size()));
+  }
+  bool done = false;
+  [](const std::vector<std::unique_ptr<MsgEndpoint>>& m, std::size_t rows,
+     bool& flag) -> sim::Process {
+    const std::size_t n = m.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t targets = i < rows ? n : rows;
+      for (std::size_t j = 0; j < targets; ++j) {
+        if (i == j) continue;
+        const bool ok = co_await m[i]->connect(m[j]->host());
+        assert(ok);
+        (void)ok;
+      }
+    }
+    flag = true;
+  }(msgs, full_rows, done);
+  while (!done && sched.step()) {
+  }
+  assert(done && "message mesh connect did not complete");
+}
+
 }  // namespace sanfault::vmmc

@@ -26,6 +26,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -109,5 +111,17 @@ class MsgEndpoint {
   Tap tap_;
   MsgEndpointStats stats_;
 };
+
+/// A cluster's message plane: one Endpoint and one MsgEndpoint (with a
+/// `ring_per_peer`-byte partition for every sender) on each of `nics`,
+/// filling the empty `eps` and `msgs` in NIC order. Endpoint i then
+/// connects to every other endpoint when i < full_rows, and to the first
+/// `full_rows` only otherwise. Connects run one at a time, in
+/// row-major order; `sched` is stepped until the last completes.
+void build_msg_mesh(sim::Scheduler& sched,
+                    std::span<const std::unique_ptr<nic::Nic>> nics,
+                    std::size_t ring_per_peer, std::size_t full_rows,
+                    std::vector<std::unique_ptr<Endpoint>>& eps,
+                    std::vector<std::unique_ptr<MsgEndpoint>>& msgs);
 
 }  // namespace sanfault::vmmc

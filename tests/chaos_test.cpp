@@ -24,6 +24,7 @@ namespace {
 
 using harness::Cluster;
 using harness::ClusterConfig;
+using harness::Drainer;
 
 // --- scenario DSL ----------------------------------------------------------
 
@@ -106,17 +107,6 @@ TEST(ChaosEngine, DeterministicEventLog) {
 }
 
 // --- recovery through faults ----------------------------------------------
-
-struct Drainer {
-  std::vector<harness::HostMsg> msgs;
-};
-
-sim::Process drain(Cluster& c, std::size_t host, Drainer& d) {
-  for (;;) {
-    harness::HostMsg m = co_await c.inbox(host).pop(c.sched);
-    d.msgs.push_back(std::move(m));
-  }
-}
 
 /// Paced one-way stream 0 -> 1 with a chaos scenario running underneath.
 /// Returns the monitor's report; `msgs` receives the delivered stream.

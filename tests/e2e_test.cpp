@@ -15,20 +15,10 @@ namespace {
 
 using harness::Cluster;
 using harness::ClusterConfig;
+using harness::Drainer;
 using harness::FirmwareKind;
 using harness::MapperKind;
 using harness::TopoKind;
-
-struct Drainer {
-  std::vector<harness::HostMsg> msgs;
-};
-
-sim::Process drain(Cluster& c, std::size_t host, Drainer& d) {
-  for (;;) {
-    harness::HostMsg m = co_await c.inbox(host).pop(c.sched);
-    d.msgs.push_back(std::move(m));
-  }
-}
 
 // --- deadlock recovery -------------------------------------------------------
 

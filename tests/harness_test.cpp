@@ -4,10 +4,12 @@
 // they get the same coverage as the protocol code.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/cluster.hpp"
 #include "harness/microbench.hpp"
 #include "harness/table.hpp"
-#include "harness/trace.hpp"
+#include "obs/metrics.hpp"
 
 namespace sanfault {
 namespace {
@@ -149,69 +151,45 @@ TEST(TableFmt, FmtRoundsToRequestedDecimals) {
   EXPECT_EQ(harness::fmt(119.96, 1), "120.0");
 }
 
-TEST(PacketTrace, RecordsDeliveriesWithProtocolFields) {
+// The registry's packet-lifecycle ring (obs/trace.hpp) is the cluster's wire
+// recorder: one send leaves an injection and an in-order delivery keyed by
+// the protocol's (src, dst, seq).
+TEST(ClusterTrace, RingRecordsDeliveryWithProtocolFields) {
   ClusterConfig cfg;
   cfg.num_hosts = 2;
   Cluster c(cfg);
-  harness::PacketTrace trace(c.fabric(), c.sched);
+  obs::TraceRing& ring = obs::Registry::of(c.sched).trace();
+  ring.enable(64);
   c.send(0, 1, std::vector<std::uint8_t>(64, 1));
   c.sched.run_until(sim::milliseconds(5));
-  ASSERT_GE(trace.total_recorded(), 1u);
-  EXPECT_GE(trace.count(net::PacketType::kData), 1u);
-  const auto& first = trace.events().front();
-  EXPECT_FALSE(first.dropped);
-  EXPECT_EQ(first.src, c.hosts[0]);
-  EXPECT_EQ(first.dst, c.hosts[1]);
-  EXPECT_EQ(first.seq, 1u);
-  EXPECT_EQ(first.payload_bytes, 64u);
+  const auto events = ring.snapshot();
+  const auto first_of = [&events](obs::TraceKind k) {
+    return std::find_if(events.begin(), events.end(),
+                        [k](const obs::TraceEvent& e) { return e.kind == k; });
+  };
+  const auto inject = first_of(obs::TraceKind::kWireInject);
+  const auto deliver = first_of(obs::TraceKind::kDeliver);
+  ASSERT_NE(inject, events.end());
+  ASSERT_NE(deliver, events.end());
+  EXPECT_LT(inject, deliver);
+  EXPECT_LT(inject->t, deliver->t);
+  EXPECT_EQ(deliver->src, c.hosts[0].v);
+  EXPECT_EQ(deliver->dst, c.hosts[1].v);
+  EXPECT_EQ(deliver->seq, 1u);
+  EXPECT_EQ(deliver->node, c.hosts[1].v);  // observed at the receiver
 }
 
-TEST(PacketTrace, RecordsDropsWithReason) {
+TEST(ClusterTrace, RegistryJsonRendersTheTimeline) {
   ClusterConfig cfg;
   cfg.num_hosts = 2;
   Cluster c(cfg);
-  harness::PacketTrace trace(c.fabric(), c.sched);
-  c.topo.set_link_up(net::LinkId{1}, false);
-  c.send(0, 1, std::vector<std::uint8_t>(16, 1));
-  c.sched.run_until(sim::milliseconds(5));
-  ASSERT_GE(trace.drops(), 1u);
-  bool saw_link_down = false;
-  for (const auto& e : trace.events()) {
-    saw_link_down = saw_link_down ||
-                    (e.dropped && e.reason == net::DropReason::kLinkDown);
-  }
-  EXPECT_TRUE(saw_link_down);
-}
-
-TEST(PacketTrace, CapacityBoundsRetainedWindow) {
-  ClusterConfig cfg;
-  cfg.num_hosts = 2;
-  Cluster c(cfg);
-  harness::PacketTrace trace(c.fabric(), c.sched, /*capacity=*/8);
-  for (int i = 0; i < 30; ++i) {
-    c.send(0, 1, std::vector<std::uint8_t>(8, 1));
-  }
-  c.sched.run_until(sim::milliseconds(50));
-  EXPECT_LE(trace.events().size(), 8u);
-  EXPECT_GE(trace.total_recorded(), 30u);  // counted even when evicted
-}
-
-TEST(PacketTrace, DumpRendersTimeline) {
-  ClusterConfig cfg;
-  cfg.num_hosts = 2;
-  Cluster c(cfg);
-  harness::PacketTrace trace(c.fabric(), c.sched);
+  obs::Registry& reg = obs::Registry::of(c.sched);
+  reg.trace().enable(64);
   c.send(0, 1, std::vector<std::uint8_t>(8, 1));
   c.sched.run_until(sim::milliseconds(5));
-  char* buf = nullptr;
-  std::size_t len = 0;
-  FILE* mem = open_memstream(&buf, &len);
-  trace.dump(mem);
-  std::fclose(mem);
-  std::string out(buf, len);
-  free(buf);
-  EXPECT_NE(out.find("DATA"), std::string::npos);
-  EXPECT_NE(out.find("0->1"), std::string::npos);
+  const std::string js = reg.to_json();
+  EXPECT_NE(js.find("\"kind\":\"wire_inject\""), std::string::npos);
+  EXPECT_NE(js.find("\"kind\":\"deliver\""), std::string::npos);
 }
 
 TEST(Table, PrintsAlignedColumns) {

@@ -147,7 +147,7 @@ TEST(KvWire, TruncatedMessageRejected) {
   r.status = kv::Status::kOk;
   r.value = {9, 9, 9};
   auto b = kv::encode(r);
-  b.resize(b.size() - 2);
+  b.erase(b.end() - 2, b.end());  // drop the last two bytes
   EXPECT_FALSE(kv::decode_reply(b).has_value());
   EXPECT_FALSE(kv::decode_request(b).has_value());
 }

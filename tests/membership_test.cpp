@@ -1,4 +1,4 @@
-// Tests for the membership subsystem: fault-domain derivation, pod-aware
+// Tests for the membership subsystem: fault-domain (pod) derivation, pod-aware
 // shard placement, the SWIM failure detector's state machine (suspect
 // timeout, incarnation refutation, indirect-probe rescue), determinism of
 // the gossip schedule, the detection-latency bound on clos-64, and the
@@ -10,7 +10,6 @@
 
 #include "harness/cluster.hpp"
 #include "kv/shard_map.hpp"
-#include "membership/fault_domains.hpp"
 #include "membership/rig.hpp"
 #include "membership/swim.hpp"
 
@@ -22,7 +21,6 @@ using harness::ClusterConfig;
 using harness::FirmwareKind;
 using harness::MapperKind;
 using harness::TopoKind;
-using membership::FaultDomainTree;
 using membership::MemberState;
 using membership::SwimAgent;
 using membership::SwimConfig;
@@ -40,30 +38,36 @@ ClusterConfig cluster_cfg(std::size_t hosts, TopoKind topo) {
 
 // --- fault domains ---------------------------------------------------------
 
+/// Hosts per pod, indexed by pod ordinal (every ordinal below c.num_pods).
+std::vector<std::size_t> pod_sizes(const Cluster& c) {
+  std::vector<std::size_t> sizes(c.num_pods, 0);
+  for (const std::uint32_t p : c.host_pods) {
+    EXPECT_LT(p, c.num_pods);
+    if (p < sizes.size()) ++sizes[p];
+  }
+  return sizes;
+}
+
 TEST(FaultDomains, ClosPodsAreBalancedAndMatchTopology) {
   Cluster c(cluster_cfg(64, TopoKind::kClos));
   ASSERT_EQ(c.host_pods.size(), 64u);
   EXPECT_EQ(c.num_pods, 8u);
-  auto tree = FaultDomainTree::from_pods(c.host_pods);
-  EXPECT_EQ(tree.num_pods(), 8u);
+  const auto sizes = pod_sizes(c);
   for (std::uint32_t p = 0; p < 8; ++p) {
-    EXPECT_EQ(tree.hosts_in_pod(p).size(), 8u) << "pod " << p;
+    EXPECT_EQ(sizes[p], 8u) << "pod " << p;
   }
   // Hosts stripe pod-major across edges: host i and host i + num_edges hang
   // off the same edge, hence the same pod.
-  EXPECT_EQ(tree.pod_of(net::HostId{0}), tree.pod_of(net::HostId{32}));
+  EXPECT_EQ(c.host_pods[0], c.host_pods[32]);
 }
 
 TEST(FaultDomains, Figure2DomainsFollowLeafSwitches) {
   Cluster c(cluster_cfg(16, TopoKind::kFigure2));
   ASSERT_EQ(c.host_pods.size(), 16u);
-  auto tree = FaultDomainTree::from_pods(c.host_pods);
-  EXPECT_GT(tree.num_pods(), 1u);
-  // Every domain is non-empty and the domain sizes sum to the host count.
+  EXPECT_GT(c.num_pods, 1u);
+  // Every host sits in a domain, and the domain sizes sum to the host count.
   std::size_t total = 0;
-  for (std::uint32_t p = 0; p < tree.num_pods(); ++p) {
-    total += tree.hosts_in_pod(p).size();
-  }
+  for (const std::size_t n : pod_sizes(c)) total += n;
   EXPECT_EQ(total, 16u);
 }
 

@@ -7,6 +7,7 @@
 #include "net/crc.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 
 namespace sanfault::net {
@@ -22,6 +23,27 @@ struct Rx {
     };
   }
 };
+
+/// Start recording `sched`'s packet-lifecycle ring (obs/trace.hpp), which
+/// the fabric feeds with one kFabricDrop event per drop.
+obs::TraceRing& enable_trace(sim::Scheduler& sched) {
+  obs::TraceRing& ring = obs::Registry::of(sched).trace();
+  ring.enable();
+  return ring;
+}
+
+/// The ring's fabric drops, oldest first.
+std::vector<obs::TraceEvent> fabric_drops(const obs::TraceRing& ring) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : ring.snapshot()) {
+    if (e.kind == obs::TraceKind::kFabricDrop) out.push_back(e);
+  }
+  return out;
+}
+
+DropReason reason_of(const obs::TraceEvent& e) {
+  return static_cast<DropReason>(e.arg);
+}
 
 struct FabricFixture : ::testing::Test {
   sim::Scheduler sched;
@@ -230,16 +252,15 @@ TEST_F(FabricFixture, BlockedLinkTriggersPathResetDrop) {
   cfg.deadlock_timeout = sim::milliseconds(62);
   Fabric f = make_fabric(cfg);
   f.link_faults(l1).blocked = true;
-  sim::Time dropped_at = 0;
-  f.set_drop_hook([&](const Packet&, DropReason r) {
-    EXPECT_EQ(r, DropReason::kPathReset);
-    dropped_at = sched.now();
-  });
+  const obs::TraceRing& ring = enable_trace(sched);
   f.inject(h0, data_packet(h0, h1, Route{{1}}, 4));
   sched.run();
   EXPECT_EQ(f.stats().dropped_path_reset, 1u);
+  const auto drops = fabric_drops(ring);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(reason_of(drops[0]), DropReason::kPathReset);
   // Head reaches the switch at 550ns, then sits for the deadlock timeout.
-  EXPECT_EQ(dropped_at, 550u + sim::milliseconds(62));
+  EXPECT_EQ(drops[0].t, 550u + sim::milliseconds(62));
 }
 
 TEST_F(FabricFixture, UnattachedHostCountsDrop) {
@@ -251,15 +272,20 @@ TEST_F(FabricFixture, UnattachedHostCountsDrop) {
   EXPECT_EQ(f.stats().dropped_unattached, 1u);
 }
 
-TEST_F(FabricFixture, DropHookSeesReason) {
+TEST_F(FabricFixture, DropEventCarriesReasonAndKey) {
   Fabric f = make_fabric();
-  std::vector<DropReason> reasons;
-  f.set_drop_hook([&](const Packet&, DropReason r) { reasons.push_back(r); });
+  const obs::TraceRing& ring = enable_trace(sched);
   topo.set_link_up(l1, false);
-  f.inject(h0, data_packet(h0, h1, Route{{1}}, 4));
+  Packet p = data_packet(h0, h1, Route{{1}}, 4);
+  p.hdr.seq = 9;
+  f.inject(h0, std::move(p));
   sched.run();
-  ASSERT_EQ(reasons.size(), 1u);
-  EXPECT_EQ(reasons[0], DropReason::kLinkDown);
+  const auto drops = fabric_drops(ring);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(reason_of(drops[0]), DropReason::kLinkDown);
+  EXPECT_EQ(drops[0].src, h0.v);
+  EXPECT_EQ(drops[0].dst, h1.v);
+  EXPECT_EQ(drops[0].seq, 9u);
 }
 
 TEST_F(FabricFixture, WireIdsAreUnique) {
@@ -311,11 +337,7 @@ TEST(FabricFaultStreams, DropPatternIgnoresUnrelatedTraffic) {
     Fabric f(sched, topo, FabricConfig{.seed = 7});
     for (const HostId host : h) f.attach(host, [](Packet&&, bool) {});
     f.set_link_fault_rates(std::nullopt, 0.3, 0.0);
-    std::vector<std::uint32_t> drops;
-    f.set_drop_hook([&](const Packet& p, DropReason r) {
-      EXPECT_EQ(r, DropReason::kRandomLoss);
-      if (p.hdr.src == h[0]) drops.push_back(p.hdr.seq);
-    });
+    const obs::TraceRing& ring = enable_trace(sched);
     for (std::uint32_t seq = 0; seq < kPackets; ++seq) {
       sched.at(seq * sim::microseconds(5), [&, seq] {
         Packet a = FabricFixture::data_packet(h[0], h[1], Route{{1}}, 64);
@@ -329,6 +351,12 @@ TEST(FabricFaultStreams, DropPatternIgnoresUnrelatedTraffic) {
       });
     }
     sched.run();
+    EXPECT_EQ(ring.dropped(), 0u);  // the ring held every drop
+    std::vector<std::uint32_t> drops;
+    for (const obs::TraceEvent& e : fabric_drops(ring)) {
+      EXPECT_EQ(reason_of(e), DropReason::kRandomLoss);
+      if (e.src == h[0].v) drops.push_back(e.seq);
+    }
     return drops;
   };
   const std::vector<std::uint32_t> alone = h0_to_h1_drops(false);

@@ -240,6 +240,19 @@ TEST(Topology, TraceRouteDetectsMisroutes) {
   EXPECT_FALSE(f.topo.trace_route(f.h0, Route{{200}}).has_value());
 }
 
+TEST(Topology, RouteLinksWalksAccessThenTrunks) {
+  PairFixture f;
+  EXPECT_EQ(f.topo.route_links(f.h0, Route{{1}}),
+            (std::vector<LinkId>{f.l0, f.l1}));
+  // A walk that falls off the fabric (unconnected port, port beyond the
+  // radix) yields no links at all, not a prefix.
+  EXPECT_TRUE(f.topo.route_links(f.h0, Route{{6}}).empty());
+  EXPECT_TRUE(f.topo.route_links(f.h0, Route{{200}}).empty());
+  // An unwired host has no access link to start from.
+  const HostId lone = f.topo.add_host();
+  EXPECT_TRUE(f.topo.route_links(lone, Route{{1}}).empty());
+}
+
 // --- up-state-aware tracing and disjoint backup routes ----------------------
 
 TEST(Topology, TraceRouteUpRequiresLiveElements) {
@@ -525,6 +538,21 @@ TEST(ClosFabric, AllPairsReachableAtClosDistances) {
       // 5 (cross-pod) switches.
       EXPECT_TRUE(r->hops() == 1 || r->hops() == 3 || r->hops() == 5)
           << a.v << "->" << b.v << " hops=" << r->hops();
+    }
+  }
+}
+
+TEST(ClosFabric, RouteLinksCountEveryHopPlusAccess) {
+  auto f = make_clos_fabric({.k = 8, .num_hosts = 64});
+  for (auto a : f.hosts) {
+    for (auto b : f.hosts) {
+      if (a == b) continue;
+      auto r = f.topo.shortest_route(a, b);
+      ASSERT_TRUE(r.has_value()) << a.v << "->" << b.v;
+      const auto links = f.topo.route_links(a, *r);
+      ASSERT_EQ(links.size(), r->hops() + 1) << a.v << "->" << b.v;
+      EXPECT_EQ(links.front(), *f.topo.host_access_link(a));
+      EXPECT_EQ(links.back(), *f.topo.host_access_link(b));
     }
   }
 }

@@ -21,6 +21,7 @@ namespace {
 
 using harness::Cluster;
 using harness::ClusterConfig;
+using harness::Drainer;
 using harness::FirmwareKind;
 using harness::MapperKind;
 using harness::TopoKind;
@@ -171,13 +172,6 @@ TEST(TraceRing, EveryKindHasAStableName) {
 
 // --- integration: fault-injection runs feed the documented counters ---------
 
-sim::Process drain_forever(Cluster& c, std::size_t host, std::size_t& got) {
-  for (;;) {
-    co_await c.inbox(host).pop(c.sched);
-    ++got;
-  }
-}
-
 TEST(ObsIntegration, InjectedDropsShowUpInFirmwareCounters) {
   ClusterConfig cfg;
   cfg.num_hosts = 2;
@@ -187,13 +181,13 @@ TEST(ObsIntegration, InjectedDropsShowUpInFirmwareCounters) {
   obs::Registry& reg = obs::Registry::of(c.sched);
   reg.trace().enable(1 << 12);
 
-  std::size_t got = 0;
-  drain_forever(c, 1, got);
+  Drainer got;
+  drain(c, 1, got);
   for (int i = 0; i < 50; ++i) {
     c.send(0, 1, std::vector<std::uint8_t>(64, 1));
   }
   c.sched.run_until(sim::seconds(10));
-  ASSERT_EQ(got, 50u);
+  ASSERT_EQ(got.msgs.size(), 50u);
 
   reg.collect();
   EXPECT_GT(reg.counter_value("firmware.injected_drops{node=0}"), 0u);
@@ -228,11 +222,11 @@ TEST(ObsIntegration, LinkKillShowsUpInFailureAndRemapCounters) {
   // retries); the default capacity holds a whole one.
   reg.trace().enable();
 
-  std::size_t got = 0;
-  drain_forever(c, 3, got);
+  Drainer got;
+  drain(c, 3, got);
   c.send(0, 3, std::vector<std::uint8_t>(16, 1));
   c.sched.run_until(sim::seconds(1));
-  ASSERT_EQ(got, 1u);
+  ASSERT_EQ(got.msgs.size(), 1u);
 
   // Kill the first trunk of every segment the preloaded route crosses; the
   // redundant twins remain, so the mapper can heal the path.
@@ -243,7 +237,7 @@ TEST(ObsIntegration, LinkKillShowsUpInFailureAndRemapCounters) {
     c.send(0, 3, std::vector<std::uint8_t>(16, 2));
   }
   c.sched.run_until(sim::seconds(60));
-  ASSERT_EQ(got, 6u);
+  ASSERT_EQ(got.msgs.size(), 6u);
 
   reg.collect();
   EXPECT_GT(reg.counter_value("firmware.path_failures{node=0}"), 0u);
@@ -273,13 +267,13 @@ TEST(ObsIntegration, CleanRunKeepsFaultCountersAtZero) {
   cfg.num_hosts = 2;
   cfg.fw = FirmwareKind::kReliable;
   Cluster c(cfg);
-  std::size_t got = 0;
-  drain_forever(c, 1, got);
+  Drainer got;
+  drain(c, 1, got);
   for (int i = 0; i < 20; ++i) {
     c.send(0, 1, std::vector<std::uint8_t>(64, 1));
   }
   c.sched.run_until(sim::seconds(10));
-  ASSERT_EQ(got, 20u);
+  ASSERT_EQ(got.msgs.size(), 20u);
 
   obs::Registry& reg = obs::Registry::of(c.sched);
   reg.collect();

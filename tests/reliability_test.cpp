@@ -15,6 +15,7 @@ namespace {
 
 using harness::Cluster;
 using harness::ClusterConfig;
+using harness::Drainer;
 using harness::FirmwareKind;
 
 ClusterConfig base_cfg() {
@@ -22,18 +23,6 @@ ClusterConfig base_cfg() {
   cfg.num_hosts = 2;
   cfg.fw = FirmwareKind::kReliable;
   return cfg;
-}
-
-/// Drain an inbox into a vector of messages via a forever-looping coroutine.
-struct Drainer {
-  std::vector<harness::HostMsg> msgs;
-};
-
-sim::Process drain(Cluster& c, std::size_t host, Drainer& d) {
-  for (;;) {
-    harness::HostMsg m = co_await c.inbox(host).pop(c.sched);
-    d.msgs.push_back(std::move(m));
-  }
 }
 
 /// Helper: send n messages, drain, settle. Asserts nothing by itself.
